@@ -11,7 +11,8 @@ Subcommands mirror the pipeline stages::
     fogweaver tesla <scenario> [--interval US] [--disclosure D] [-o out.json]
     fogweaver pipeline <scenario> [-o report.json] [--gantt DIR] [--format ...]
 
-Exit codes: 0 success, 1 validation failure, 2 infeasible, 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 infeasible or a schedule
+that failed verification, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .pipeline import (
     run_pipeline,
     synthesize_all_nodes,
 )
+from .reporting import Report
 from .scenario import Scenario, TaskSpec, validate, with_params
 from .teslasec import TeslaConfig, apply_tesla, secured_delay, tesla_overhead_report
 
@@ -129,6 +131,14 @@ def _validated(args) -> Scenario:
     return s
 
 
+def _verified(report: Report) -> bool:
+    """True when a synthesized schedule passed its verifier; otherwise
+    print the violations, so the caller can stop before writing a file."""
+    for v in report:
+        print(f"verification failed: {v}", file=sys.stderr)
+    return report.ok
+
+
 def cmd_validate(args) -> int:
     s = _load_scenario(args)
     report = validate(s)
@@ -144,7 +154,8 @@ def cmd_validate(args) -> int:
 def cmd_net_schedule(args) -> int:
     s = _validated(args)
     ns = synthesize_gcl(s)
-    assert verify_net_schedule(ns, s).ok
+    if not _verified(verify_net_schedule(ns, s)):
+        return EXIT_INFEASIBLE
     _emit(args, {"summary": net_summary(ns, s), "gcl": gcl_export(ns)})
     if args.gantt:
         directory = pathlib.Path(args.gantt)
@@ -163,8 +174,9 @@ def cmd_node_schedule(args) -> int:
         if not schedules:
             print(f"no applications on node {args.node!r}", file=sys.stderr)
             return EXIT_VALIDATION
-    for n in schedules:
-        assert verify_node_schedule(n).ok
+    # a list, not a generator: every node is verified and its violations shown
+    if not all([_verified(verify_node_schedule(n)) for n in schedules]):
+        return EXIT_INFEASIBLE
     _emit(args, {"nodes": [node_summary(n) for n in schedules],
                  "tables": [node_schedule_to_json(n) for n in schedules]})
     if args.gantt:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .nodesched import NodeSchedule, TaskSlice, rebuild_partitions, verify_node_schedule
 from .scenario import TaskSpec
-from .units import ceil_to_grid, floor_to_grid, lcm_all
+from .units import GRID_US, lcm_all
 
 DYNAMIC_PARTITION = "dynamic"  # dynamic tasks run outside static partitions
 
@@ -119,31 +119,6 @@ def ext_metric(ns: NodeSchedule, core: int) -> float:
 # -- optimization -----------------------------------------------------------
 
 
-def _slice_bounds(ns: NodeSchedule, ordered: list[TaskSlice], idx: int
-                  ) -> tuple[Fraction, Fraction]:
-    """Feasible start range for moving slice ``idx`` on its core.
-
-    Bounded by the neighbouring slices and by the job's release/deadline
-    window; the slice keeps its duration.
-    """
-    sl = ordered[idx]
-    task = ns.tasks[sl.task]
-    release = Fraction(sl.job_index * task.period_us)
-    deadline = release + task.deadline_us
-    lo = release if idx == 0 else max(release, ordered[idx - 1].end_us)
-    hi_end = deadline if idx == len(ordered) - 1 \
-        else min(deadline, ordered[idx + 1].start_us)
-    return lo, hi_end - sl.duration_us
-
-
-def _candidate_starts(lo: Fraction, hi: Fraction, center: Fraction
-                      ) -> list[Fraction]:
-    cands = {lo, hi}
-    for snapped in (floor_to_grid(center), ceil_to_grid(center)):
-        cands.add(min(hi, max(lo, snapped)))
-    return sorted(cands)
-
-
 def _job_window(ns: NodeSchedule, sl: TaskSlice) -> tuple[Fraction, Fraction]:
     task = ns.tasks[sl.task]
     release = Fraction(sl.job_index * task.period_us)
@@ -192,45 +167,88 @@ def _climb(ns: NodeSchedule, core: int, budget: int) -> NodeSchedule:
     and the (grid-snapped) center of its feasible range and applies the
     single move that lowers the variance most; stops at a local optimum or
     after ``budget`` accepted moves. Moves are confined between the
-    neighbouring slices, so the chronological order never changes and
-    candidates can be scored on a plain interval list.
+    neighbouring slices, so the chronological order never changes.
+
+    The search runs on exact integer ticks of ``1/scale`` us, where
+    ``scale`` is the lcm of the grid denominator and of every denominator
+    of the core's slice bounds. It keeps the idle gaps (gap ``i`` precedes
+    slice ``i``, the last one runs to the frame end), their positive count
+    ``n`` and their sum of squares ``q``; the gap total ``T`` is constant.
+    A move changes only the two gaps around the moved slice, so every
+    candidate is scored and every accepted move applied in O(1), comparing
+    the variances ``(q*n - T**2) / n**2`` exactly by cross-multiplication.
     """
-    ordered = list(ns.core_slices(core))
-    frame = Fraction(ns.major_frame_us)
+    ordered = ns.core_slices(core)
+    scale = math.lcm(GRID_US.denominator,
+                     *(t.denominator for sl in ordered
+                       for t in (sl.start_us, sl.end_us)))
+    grid = scale // GRID_US.denominator
+    frame = ns.major_frame_us * scale
+    starts = [int(sl.start_us * scale) for sl in ordered]
+    durations = [int(sl.duration_us * scale) for sl in ordered]
+    windows = [tuple(int(t * scale) for t in _job_window(ns, sl))
+               for sl in ordered]
+    prev_ends = [0] + [s + d for s, d in zip(starts, durations)]
+    gaps = [b - a for a, b in zip(prev_ends, starts + [frame])]
+    n = sum(g > 0 for g in gaps)
+    q = sum(g * g for g in gaps)
+    total = sum(gaps)
+
+    def variance(n: int, q: int) -> tuple[int, int]:
+        """(numerator, denominator) of the gap variance; 0 below two gaps."""
+        return (q * n - total * total, n * n) if n > 1 else (0, 1)
+
+    moved: set[int] = set()
     for _ in range(budget):
-        intervals = [(sl.start_us, sl.end_us) for sl in ordered]
-        best_var = _gap_variance(intervals, frame)[1]
-        best_move: tuple[int, Fraction] | None = None
-        working = replace(ns, slices=tuple(ordered))
-        for idx, sl in enumerate(ordered):
-            lo, hi = _slice_bounds(working, ordered, idx)
+        best_num, best_den = variance(n, q)
+        best_move: tuple[int, int, int, int] | None = None
+        for idx, (start, duration) in enumerate(zip(starts, durations)):
+            left, right = gaps[idx], gaps[idx + 1]
+            prev_end, next_start = start - left, start + duration + right
+            release, deadline = windows[idx]
+            lo = max(release, prev_end)
+            # a job's window ends inside the frame, so for the last slice
+            # this is its deadline
+            hi = min(deadline, next_start) - duration
             if hi < lo:
                 continue
-            prev_end = intervals[idx - 1][1] if idx else Fraction(0)
-            next_start = (intervals[idx + 1][0] if idx + 1 < len(ordered)
-                          else frame)
-            center = (prev_end + next_start - sl.duration_us) / 2
-            saved = intervals[idx]
-            for start in _candidate_starts(lo, hi, center):
-                if start == sl.start_us:
+            twice_center = prev_end + next_start - duration
+            floored = twice_center // (2 * grid) * grid
+            ceiled = -(-twice_center // (2 * grid)) * grid
+            rest_n = n - (left > 0) - (right > 0)
+            rest_q = q - left * left - right * right
+            for cand in sorted({lo, hi, min(hi, max(lo, floored)),
+                                min(hi, max(lo, ceiled))}):
+                if cand == start:
                     continue
-                intervals[idx] = (start, start + sl.duration_us)
-                var = _gap_variance(intervals, frame)[1]
-                if var < best_var:
-                    best_var = var
-                    best_move = (idx, start)
-            intervals[idx] = saved
+                new_left = cand - prev_end
+                new_right = next_start - cand - duration
+                num, den = variance(
+                    rest_n + (new_left > 0) + (new_right > 0),
+                    rest_q + new_left * new_left + new_right * new_right)
+                if num * best_den < best_num * den:
+                    best_num, best_den = num, den
+                    best_move = (idx, cand, new_left, new_right)
         if best_move is None:
             break
-        idx, start = best_move
+        idx, cand, new_left, new_right = best_move
+        left, right = gaps[idx], gaps[idx + 1]
+        n += (new_left > 0) + (new_right > 0) - (left > 0) - (right > 0)
+        q += (new_left * new_left + new_right * new_right
+              - left * left - right * right)
+        gaps[idx], gaps[idx + 1] = new_left, new_right
+        starts[idx] = cand
+        moved.add(idx)
+    for idx in moved:
+        start = Fraction(starts[idx], scale)
         ordered[idx] = replace(ordered[idx], start_us=start,
                                end_us=start + ordered[idx].duration_us)
     others = [s for s in ns.slices if s.core != core]
     return replace(ns, slices=tuple(others + ordered))
 
 
-def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200,
-                           seed: int = 0) -> NodeSchedule:
+def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200
+                           ) -> NodeSchedule:
     """Spread idle time by sliding slices; never worsens any core's metric.
 
     Deterministic, core by core: an even-spread pass re-places the slices
@@ -238,10 +256,8 @@ def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200,
     refines the result; plain hill climbing on the original layout is kept
     instead when it scores better. Every intermediate layout respects the
     job windows and core non-overlap, so the output always verifies. The
-    ``seed`` is accepted for interface stability; the search itself is
-    deterministic. The input is returned unchanged when nothing improves.
+    input is returned unchanged when nothing improves.
     """
-    del seed
     result = ns
     changed = False
     for core in range(ns.cores):

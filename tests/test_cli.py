@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from fogweaver import cli
 from fogweaver.cli import main
 from fogweaver.fixtures import uc1_text
 from fogweaver.pipeline import run_pipeline
+from fogweaver.reporting import Report, Violation
 
 
 @pytest.fixture()
@@ -159,3 +161,19 @@ def test_run_pipeline_api(uc1_file):
     code, report = run_pipeline(uc1_file)
     assert code == 0
     assert report["scenario"]["streams"] == 10
+
+
+@pytest.mark.parametrize("command, verifier", [
+    ("net-schedule", "verify_net_schedule"),
+    ("node-schedule", "verify_node_schedule"),
+])
+def test_failed_verification_exits_2_before_writing(
+        uc1_file, tmp_path, monkeypatch, capsys, command, verifier):
+    broken = Report((Violation("overlap", "x", "injected"),))
+    monkeypatch.setattr(cli, verifier, lambda *args: broken)
+    out, gantt = tmp_path / "out.json", tmp_path / "gantt"
+    assert main([command, str(uc1_file), "-o", str(out),
+                 "--gantt", str(gantt)]) == 2
+    assert "[overlap] x: injected" in capsys.readouterr().err
+    assert not out.exists()
+    assert not gantt.exists()

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from genutil import random_apps
+from fogweaver import extensibility
 from fogweaver.extensibility import (
+    _gap_variance,
     admit_dynamic,
     ext_metric,
     idle_profile,
@@ -23,6 +25,7 @@ from fogweaver.nodesched import (
     verify_node_schedule,
 )
 from fogweaver.scenario import ApplicationSpec, FogNodeSpec, TaskSpec
+from fogweaver.units import ceil_to_grid, floor_to_grid
 
 
 def _app(name, level, tasks, period_us, util):
@@ -159,6 +162,80 @@ def test_optimizer_never_touches_other_cores(base):
     out = optimize_extensibility(base)
     for core in (0, 1):
         assert out.core_slices(core) == base.core_slices(core)
+
+
+def test_optimizer_reproduces_checked_in_fixture(base, optimized):
+    out = optimize_extensibility(base)
+    for core in range(out.cores):
+        assert out.core_slices(core) == optimized.core_slices(core)
+
+
+def _reference_climb(ns, core, budget):
+    """The climb re-scoring every candidate from scratch on Fractions."""
+    ordered = ns.core_slices(core)
+    frame = Fraction(ns.major_frame_us)
+    for _ in range(budget):
+        intervals = [(sl.start_us, sl.end_us) for sl in ordered]
+        best_var, best_move = _gap_variance(intervals, frame)[1], None
+        for idx, sl in enumerate(ordered):
+            task = ns.tasks[sl.task]
+            release = Fraction(sl.job_index * task.period_us)
+            deadline = release + task.deadline_us
+            last = idx + 1 == len(ordered)
+            prev_end = intervals[idx - 1][1] if idx else Fraction(0)
+            next_start = frame if last else intervals[idx + 1][0]
+            lo = max(release, prev_end)
+            hi = (deadline if last else min(deadline, next_start)) \
+                - sl.duration_us
+            if hi < lo:
+                continue
+            center = (prev_end + next_start - sl.duration_us) / 2
+            cands = {lo, hi} | {min(hi, max(lo, snap(center)))
+                                for snap in (floor_to_grid, ceil_to_grid)}
+            for start in sorted(cands):
+                if start == sl.start_us:
+                    continue
+                intervals[idx] = (start, start + sl.duration_us)
+                var = _gap_variance(intervals, frame)[1]
+                if var < best_var:
+                    best_var, best_move = var, (idx, start)
+            intervals[idx] = (sl.start_us, sl.end_us)
+        if best_move is None:
+            break
+        idx, start = best_move
+        ordered[idx] = replace(ordered[idx], start_us=start,
+                               end_us=start + ordered[idx].duration_us)
+    others = [s for s in ns.slices if s.core != core]
+    return replace(ns, slices=tuple(others + ordered))
+
+
+def _oracle_nodes():
+    # equal splits such as 3500/3 us put slice bounds off the 0.1 us grid;
+    # EDF packs slices back to back, so many gaps are zero
+    yield _schedule([_app("a", 1, 3, 10_000, "0.35"),
+                     _app("b", 2, 1, 5_000, "0.2")])
+    rng = random.Random(5)
+    for _ in range(8):
+        apps = random_apps(rng, "N", max_apps=3, max_tasks=3,
+                           total_util_limit=0.8)
+        node = FogNodeSpec("N", cores=2)
+        mapping = {t.id: i % 2 for i, t in enumerate(node_tasks(apps))}
+        yield synthesize_node_schedule(node, apps, mapping)
+
+
+def test_climb_matches_fraction_reference(monkeypatch):
+    # checks every climb the optimizer runs: from the synthesized layout
+    # and from the even spread, on every core
+    fast_climb = extensibility._climb
+
+    def checked_climb(ns, core, budget):
+        out = fast_climb(ns, core, budget)
+        assert out == _reference_climb(ns, core, budget)
+        return out
+
+    monkeypatch.setattr(extensibility, "_climb", checked_climb)
+    for ns in _oracle_nodes():
+        optimize_extensibility(ns)
 
 
 # -- dynamic admission -----------------------------------------------------------
