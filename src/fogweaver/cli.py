@@ -11,8 +11,15 @@ Subcommands mirror the pipeline stages::
     fogweaver tesla <scenario> [--interval US] [--disclosure D] [-o out.json]
     fogweaver pipeline <scenario> [-o report.json] [--gantt DIR] [--format ...]
 
+Each subcommand calls the stage functions of :mod:`fogweaver.pipeline`,
+the same ones ``run_pipeline`` calls, so every schedule a subcommand
+writes went through its verifier once. ``--gantt`` writes a chart plus the
+JSON table of each schedule, the file set the pipeline writes; ``tesla``
+prints the block the pipeline report holds under ``"tesla"``.
+
 Exit codes: 0 success, 1 validation failure, 2 infeasible or a schedule
-that failed verification, 3 I/O error.
+that failed verification, 3 I/O error. ``main`` returns the code on every
+path; nothing exits the process from inside a subcommand.
 """
 
 from __future__ import annotations
@@ -24,29 +31,27 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dsl import parse_scenario
 from .errors import FogweaverError, InfeasibleError
-from .extensibility import admit_dynamic, ext_metric, optimize_extensibility
-from .gantt import emit_gantt
-from .gclsched import gcl_export, synthesize_gcl, verify_net_schedule
-from .nodesched import (
-    node_schedule_from_json,
-    node_schedule_to_json,
-    verify_node_schedule,
-)
+from .extensibility import admit_dynamic
+from .gclsched import gcl_export
+from .nodesched import node_schedule_from_json, node_schedule_to_json
 from .pipeline import (
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
-    net_summary,
-    node_summary,
+    extensibility_stage,
+    load_scenario,
+    net_stage,
+    node_stage,
     run_pipeline,
     synthesize_all_nodes,
+    tesla_stage,
+    write_gantt,
 )
 from .reporting import Report
-from .scenario import Scenario, TaskSpec, validate, with_params
-from .teslasec import TeslaConfig, apply_tesla, secured_delay, tesla_overhead_report
+from .scenario import Scenario, TaskSpec, validate
+from .teslasec import TeslaConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,16 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(args) -> Scenario:
-    text = pathlib.Path(args.scenario).read_text(encoding="utf-8")
-    s = parse_scenario(text)
-    if getattr(args, "d_hop", None) is not None:
-        s = with_params(s, d_hop_us=Fraction(str(args.d_hop)))
-    if getattr(args, "seed", None) is not None:
-        s = with_params(s, solver_seed=args.seed)
-    return s
-
-
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
@@ -121,85 +116,73 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _validated(args) -> Scenario:
-    s = _load_scenario(args)
-    report = validate(s)
+class _Stop(Exception):
+    """Ends a subcommand early; ``main`` returns ``code``."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
+def _require(report: Report, code: int, prefix: str = "") -> None:
+    """Print every violation in ``report``; stop with ``code`` unless it is
+    clean, so the command writes nothing after a failed check."""
+    for v in report:
+        print(f"{prefix}{v}", file=sys.stderr)
     if not report.ok:
-        for v in report:
-            print(str(v), file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise _Stop(code)
+
+
+def _require_verified(report: Report) -> None:
+    _require(report, EXIT_INFEASIBLE, "verification failed: ")
+
+
+def _d_hop(args) -> Fraction | None:
+    return Fraction(str(args.d_hop)) if args.d_hop is not None else None
+
+
+def _validated(args) -> Scenario:
+    text = pathlib.Path(args.scenario).read_text(encoding="utf-8")
+    s = load_scenario(text, _d_hop(args), args.seed)
+    _require(validate(s), EXIT_VALIDATION)
     return s
 
 
-def _verified(report: Report) -> bool:
-    """True when a synthesized schedule passed its verifier; otherwise
-    print the violations, so the caller can stop before writing a file."""
-    for v in report:
-        print(f"verification failed: {v}", file=sys.stderr)
-    return report.ok
-
-
 def cmd_validate(args) -> int:
-    s = _load_scenario(args)
-    report = validate(s)
-    if report.ok:
-        print(f"ok: {len(s.streams)} streams, {len(s.applications)} "
-              f"applications, {len(s.nodes)} fog nodes")
-        return EXIT_OK
-    for v in report:
-        print(str(v), file=sys.stderr)
-    return EXIT_VALIDATION
+    s = _validated(args)
+    print(f"ok: {len(s.streams)} streams, {len(s.applications)} "
+          f"applications, {len(s.nodes)} fog nodes")
+    return EXIT_OK
 
 
 def cmd_net_schedule(args) -> int:
-    s = _validated(args)
-    ns = synthesize_gcl(s)
-    if not _verified(verify_net_schedule(ns, s)):
-        return EXIT_INFEASIBLE
-    _emit(args, {"summary": net_summary(ns, s), "gcl": gcl_export(ns)})
+    ns, verification, summary = net_stage(_validated(args))
+    _require_verified(verification)
+    _emit(args, {"summary": summary, "gcl": gcl_export(ns)})
     if args.gantt:
-        directory = pathlib.Path(args.gantt)
-        directory.mkdir(parents=True, exist_ok=True)
-        ext = "svg" if args.format == "svg" else "txt"
-        (directory / f"net.{ext}").write_text(emit_gantt(ns, args.format),
-                                              encoding="utf-8")
+        write_gantt(args.gantt, args.format, ns, [])
     return EXIT_OK
 
 
 def cmd_node_schedule(args) -> int:
-    s = _validated(args)
-    schedules = synthesize_all_nodes(s)
+    schedules = synthesize_all_nodes(_validated(args))
     if args.node:
         schedules = [n for n in schedules if n.node == args.node]
         if not schedules:
             print(f"no applications on node {args.node!r}", file=sys.stderr)
             return EXIT_VALIDATION
-    # a list, not a generator: every node is verified and its violations shown
-    if not all([_verified(verify_node_schedule(n)) for n in schedules]):
-        return EXIT_INFEASIBLE
-    _emit(args, {"nodes": [node_summary(n) for n in schedules],
+    verification, rows = node_stage(schedules)
+    _require_verified(verification)
+    _emit(args, {"nodes": rows,
                  "tables": [node_schedule_to_json(n) for n in schedules]})
     if args.gantt:
-        directory = pathlib.Path(args.gantt)
-        directory.mkdir(parents=True, exist_ok=True)
-        ext = "svg" if args.format == "svg" else "txt"
-        for n in schedules:
-            (directory / f"node_{n.node}.{ext}").write_text(
-                emit_gantt(n, args.format), encoding="utf-8")
+        write_gantt(args.gantt, args.format, None, schedules)
     return EXIT_OK
 
 
 def cmd_extensibility(args) -> int:
-    s = _validated(args)
-    rows = []
-    for n in synthesize_all_nodes(s):
-        opt = optimize_extensibility(n) if args.optimize else None
-        for core in range(n.cores):
-            row = {"node": n.node, "core": core, "metric": ext_metric(n, core)}
-            if opt is not None:
-                row["metric_optimized"] = ext_metric(opt, core)
-            rows.append(row)
-    _emit(args, {"cores": rows})
+    schedules = synthesize_all_nodes(_validated(args))
+    _emit(args, extensibility_stage(schedules, args.optimize))
     return EXIT_OK
 
 
@@ -241,27 +224,16 @@ def cmd_tesla(args) -> int:
         overrides["key_interval_us"] = args.interval
     if args.disclosure is not None:
         overrides["disclosure_delay"] = args.disclosure
-    cfg = TeslaConfig(**overrides)
-    ns = synthesize_gcl(s)
-    overlay, secured = apply_tesla(s, ns, cfg)
-    secured_ns = synthesize_gcl(secured)
-    before = {st.id: ns.per_stream[st.id].ed_us for st in s.streams}
-    after = {
-        st.id: secured_delay(secured.stream(st.id),
-                             secured_ns.per_stream[st.id].ed_us, cfg,
-                             send_offset_us=secured_ns.offsets[st.id])
-        for st in s.streams
-    }
-    payload = tesla_overhead_report(before, after).to_json()
-    payload["security_tasks"] = len(overlay.tasks)
-    _emit(args, payload)
+    ns, verification, _ = net_stage(s)
+    _require_verified(verification)
+    _emit(args, tesla_stage(s, ns, TeslaConfig(**overrides)))
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
     code, report = run_pipeline(
         args.scenario,
-        d_hop_us=Fraction(str(args.d_hop)) if args.d_hop is not None else None,
+        d_hop_us=_d_hop(args),
         seed=args.seed,
         out=args.output,
         gantt_dir=args.gantt,
@@ -290,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _Stop as stop:
+        return stop.code
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.unplaced:

@@ -268,9 +268,10 @@ def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200
             spread_ns = replace(result, slices=tuple(others + spread))
             candidates.append(_climb(spread_ns, core, iteration_budget))
         base_var = _idle_variance(result, core)[1]
-        best = min(candidates, key=lambda cand: _idle_variance(cand, core)[1])
-        if _idle_variance(best, core)[1] < base_var:
-            result = best
+        scores = [_idle_variance(cand, core)[1] for cand in candidates]
+        best_var = min(scores)
+        if best_var < base_var:
+            result = candidates[scores.index(best_var)]  # first minimum
             changed = True
     if not changed:
         return ns

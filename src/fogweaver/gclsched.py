@@ -8,8 +8,8 @@ earliest-offset search: streams are ordered by criticality (descending),
 period (ascending) and size (descending), each is placed at the earliest
 0.1 us grid offset whose windows fit into the idle time of every route
 link, and chronological backtracking revisits earlier placements when a
-stream cannot be placed. The effect is a small weighted-offset objective:
-high-criticality streams are pushed toward their delay lower bound first.
+stream cannot be placed. Because the most critical streams are placed
+first, they are the ones pushed toward their delay lower bound.
 
 The verifier re-checks a finished schedule with plain interval arithmetic
 and shares no code with the solver.
@@ -313,13 +313,6 @@ def qoc_proxy(ns: NetSchedule, s: Scenario) -> Fraction:
         timing = ns.per_stream.get(st.id) or stream_metrics(ns, st)
         total += timing.ed_us / st.period_us + timing.jitter_us / st.period_us
     return total / len(control)
-
-
-def objective(ns: NetSchedule, s: Scenario) -> Fraction:
-    """Criticality-weighted offset sum the earliest-offset search keeps small."""
-    w = s.params.weight_base
-    return sum((w ** st.criticality * ns.offsets[st.id] for st in s.streams),
-               Fraction(0))
 
 
 def gcl_export(ns: NetSchedule) -> list[dict]:

@@ -1,6 +1,12 @@
-"""End-to-end pipeline: validate, schedule network and nodes, quantify
-extensibility, apply the security overlay, and emit one machine-readable
-report.
+"""The pipeline stages and the end-to-end pipeline.
+
+Each stage is written once here and called by both the CLI subcommands and
+``run_pipeline``: ``load_scenario`` (parse plus overrides), ``net_stage``
+(GCL synthesis and its verification), ``node_stage`` (node-schedule
+verification), ``extensibility_stage``, ``tesla_stage`` and
+``write_gantt``. ``net_stage`` and ``node_stage`` run each verifier
+exactly once and hand its ``Report`` back; the caller decides whether to
+go on.
 
 Reports are plain dicts of JSON-compatible values, assembled in a fixed
 order with no timestamps, so two runs over the same inputs and seed produce
@@ -15,7 +21,8 @@ import pathlib
 from fractions import Fraction
 
 from . import __version__
-from .errors import InfeasibleError
+from .dsl import parse_scenario
+from .errors import FogweaverError, InfeasibleError
 from .extensibility import ext_metric, optimize_extensibility
 from .gantt import emit_gantt
 from .gclsched import (
@@ -34,6 +41,7 @@ from .nodesched import (
     utilization_report,
     verify_node_schedule,
 )
+from .reporting import Report
 from .scenario import Scenario, validate, with_params
 from .teslasec import TeslaConfig, apply_tesla, secured_delay, tesla_overhead_report
 from .units import time_to_number
@@ -48,29 +56,23 @@ def _num(t) -> int | float:
     return time_to_number(Fraction(t))
 
 
-def scenario_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _verdict(verification: Report) -> str | list[str]:
+    return "clean" if verification.ok else [str(v) for v in verification]
 
 
-def _report_skeleton(text: str, s: Scenario | None, seed: int | None) -> dict:
-    return {
-        "version": __version__,
-        "seed": seed if seed is not None
-        else (s.params.solver_seed if s else None),
-        "scenario": {
-            "digest": scenario_digest(text),
-            "nodes": len(s.nodes) if s else 0,
-            "streams": len(s.streams) if s else 0,
-            "applications": len(s.applications) if s else 0,
-        },
-        "net": None,
-        "nodes": [],
-        "extensibility": None,
-        "tesla": None,
-    }
+def load_scenario(text: str, d_hop_us=None, seed: int | None = None
+                  ) -> Scenario:
+    """Parse scenario text, then apply the per-hop latency and solver seed
+    overrides that are not None."""
+    s = parse_scenario(text)
+    if d_hop_us is not None:
+        s = with_params(s, d_hop_us=Fraction(d_hop_us))
+    if seed is not None:
+        s = with_params(s, solver_seed=seed)
+    return s
 
 
-def net_summary(ns: NetSchedule, s: Scenario) -> dict:
+def net_summary(ns: NetSchedule, s: Scenario, verification: Report) -> dict:
     rows = []
     for st in s.streams:
         timing = ns.per_stream[st.id]
@@ -83,26 +85,22 @@ def net_summary(ns: NetSchedule, s: Scenario) -> dict:
             "deadline_us": st.deadline_us,
             "lower_bound_us": _num(lower_bound_delay(st, route, s.params)),
         })
-    verification = verify_net_schedule(ns, s)
     return {
         "cycle_us": ns.cycle_us,
         "qoc_proxy": float(qoc_proxy(ns, s)),
         "streams": rows,
-        "verification": "clean" if verification.ok
-        else [str(v) for v in verification],
+        "verification": _verdict(verification),
     }
 
 
-def node_summary(ns: NodeSchedule) -> dict:
-    verification = verify_node_schedule(ns)
+def node_summary(ns: NodeSchedule, verification: Report) -> dict:
     return {
         "node": ns.node,
         "major_frame_us": ns.major_frame_us,
         "per_core_utilization": [_num(u) for u in ns.per_core_utilization],
         "partitions": len(ns.partitions),
         "slices": len(ns.slices),
-        "verification": "clean" if verification.ok
-        else [str(v) for v in verification],
+        "verification": _verdict(verification),
     }
 
 
@@ -117,91 +115,44 @@ def synthesize_all_nodes(s: Scenario) -> list[NodeSchedule]:
     return schedules
 
 
-def run_pipeline(scenario_path: str | pathlib.Path, *,
-                 d_hop_us=None, seed: int | None = None,
-                 out: str | pathlib.Path | None = None,
-                 gantt_dir: str | pathlib.Path | None = None,
-                 gantt_format: str = "svg",
-                 tesla_config: TeslaConfig | None = None,
-                 ) -> tuple[int, dict]:
-    """Run every stage on a scenario file; returns (exit code, report).
+def net_stage(s: Scenario) -> tuple[NetSchedule, Report, dict]:
+    """Synthesize the GCLs and verify them once; returns the schedule, the
+    verifier's report and the ``net`` block of the pipeline report.
+    Raises :class:`InfeasibleError` when no schedule is found."""
+    ns = synthesize_gcl(s)
+    verification = verify_net_schedule(ns, s)
+    return ns, verification, net_summary(ns, s, verification)
 
-    Stages run in order - validation, network schedule, node schedules,
-    extensibility, security overlay - and stop at the first validation
-    failure (exit 1) or infeasibility (exit 2), leaving the corresponding
-    marker in the report. File-system problems raise OSError; the CLI maps
-    those to exit 3.
-    """
-    from .dsl import parse_scenario  # local import keeps module load light
-    from .errors import FogweaverError
 
-    text = pathlib.Path(scenario_path).read_text(encoding="utf-8")
-    report = _report_skeleton(text, None, seed)
-    try:
-        s = parse_scenario(text)
-    except FogweaverError as exc:
-        report["validation"] = [str(exc)]
-        _write_artifacts(report, out, None, [], gantt_dir, gantt_format)
-        return EXIT_VALIDATION, report
+def node_stage(schedules: list[NodeSchedule]) -> tuple[Report, list[dict]]:
+    """Verify each node schedule once; returns every violation in one report
+    plus one summary row per node."""
+    reports = [verify_node_schedule(n) for n in schedules]
+    rows = [node_summary(n, r) for n, r in zip(schedules, reports)]
+    return Report(tuple(v for r in reports for v in r)), rows
 
-    if d_hop_us is not None:
-        s = with_params(s, d_hop_us=Fraction(d_hop_us))
-    if seed is not None:
-        s = with_params(s, solver_seed=seed)
-    report = _report_skeleton(text, s, seed)
 
-    validation = validate(s)
-    if not validation.ok:
-        report["validation"] = [str(v) for v in validation]
-        _write_artifacts(report, out, None, [], gantt_dir, gantt_format)
-        return EXIT_VALIDATION, report
-    report["validation"] = []
-
-    try:
-        ns = synthesize_gcl(s)
-    except InfeasibleError as exc:
-        report["net"] = {"infeasible": str(exc), "unplaced": list(exc.unplaced)}
-        _write_artifacts(report, out, None, [], gantt_dir, gantt_format)
-        return EXIT_INFEASIBLE, report
-    report["net"] = net_summary(ns, s)
-
-    try:
-        schedules = synthesize_all_nodes(s)
-    except InfeasibleError as exc:
-        report["nodes"] = [{"infeasible": str(exc), "unplaced": list(exc.unplaced)}]
-        _write_artifacts(report, out, ns, [], gantt_dir, gantt_format)
-        return EXIT_INFEASIBLE, report
-    report["nodes"] = [node_summary(n) for n in schedules]
-    util = utilization_report(schedules)
-    report["utilization"] = {
-        "average": _num(util.average),
-        "max": _num(util.max_value),
-        "max_node": util.max_node,
-        "max_core": util.max_core,
-    }
-
-    ext_rows = []
-    optimized: list[NodeSchedule] = []
+def extensibility_stage(schedules: list[NodeSchedule], optimize: bool) -> dict:
+    """Idle-time metric of every core; with ``optimize`` also the metric
+    after ``optimize_extensibility``."""
+    rows = []
     for n in schedules:
-        opt = optimize_extensibility(n)
-        optimized.append(opt)
+        opt = optimize_extensibility(n) if optimize else None
         for core in range(n.cores):
-            ext_rows.append({
-                "node": n.node,
-                "core": core,
-                "metric": ext_metric(n, core),
-                "metric_optimized": ext_metric(opt, core),
-            })
-    report["extensibility"] = {"cores": ext_rows}
+            row = {"node": n.node, "core": core, "metric": ext_metric(n, core)}
+            if opt is not None:
+                row["metric_optimized"] = ext_metric(opt, core)
+            rows.append(row)
+    return {"cores": rows}
 
-    cfg = tesla_config or TeslaConfig()
-    try:
-        overlay, secured = apply_tesla(s, ns, cfg)
-        secured_ns = synthesize_gcl(secured)
-    except InfeasibleError as exc:
-        report["tesla"] = {"infeasible": str(exc), "unplaced": list(exc.unplaced)}
-        _write_artifacts(report, out, ns, schedules, gantt_dir, gantt_format)
-        return EXIT_INFEASIBLE, report
+
+def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig) -> dict:
+    """Apply the security overlay to a verified network schedule,
+    re-synthesize the secured network and return the ``tesla`` block of the
+    pipeline report. Raises :class:`InfeasibleError` when the secured
+    variant cannot be placed."""
+    overlay, secured = apply_tesla(s, ns, cfg)
+    secured_ns = synthesize_gcl(secured)
     before = {st.id: ns.per_stream[st.id].ed_us for st in s.streams}
     after = {
         st.id: secured_delay(secured.stream(st.id),
@@ -209,8 +160,7 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
                              send_offset_us=secured_ns.offsets[st.id])
         for st in s.streams
     }
-    overhead = tesla_overhead_report(before, after)
-    report["tesla"] = {
+    return {
         "config": {
             "mac_bytes": cfg.mac_bytes,
             "key_bytes": cfg.key_bytes,
@@ -219,25 +169,15 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
             "grow_frames": cfg.grow_frames,
         },
         "security_tasks": len(overlay.tasks),
-        **overhead.to_json(),
+        **tesla_overhead_report(before, after).to_json(),
     }
 
-    _write_artifacts(report, out, ns, schedules, gantt_dir, gantt_format)
-    return EXIT_OK, report
 
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
-def _write_artifacts(report: dict, out, ns: NetSchedule | None,
-                     schedules: list[NodeSchedule],
-                     gantt_dir, gantt_format: str) -> None:
-    if out is not None:
-        pathlib.Path(out).write_text(report_to_json(report), encoding="utf-8")
-    if gantt_dir is None:
-        return
-    directory = pathlib.Path(gantt_dir)
+def write_gantt(directory: str | pathlib.Path, gantt_format: str,
+                ns: NetSchedule | None, schedules: list[NodeSchedule]) -> None:
+    """Write a chart plus the JSON export of the network schedule (when
+    given) and of each node schedule into ``directory``."""
+    directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ext = "svg" if gantt_format == "svg" else "txt"
     if ns is not None:
@@ -251,3 +191,87 @@ def _write_artifacts(report: dict, out, ns: NetSchedule | None,
         (directory / f"node_{n.node}.json").write_text(
             json.dumps(node_schedule_to_json(n), indent=2) + "\n",
             encoding="utf-8")
+
+
+def run_pipeline(scenario_path: str | pathlib.Path, *,
+                 d_hop_us=None, seed: int | None = None,
+                 out: str | pathlib.Path | None = None,
+                 gantt_dir: str | pathlib.Path | None = None,
+                 gantt_format: str = "svg",
+                 ) -> tuple[int, dict]:
+    """Run every stage on a scenario file; returns (exit code, report).
+
+    Stages run in order - validation, network schedule, node schedules,
+    extensibility, security overlay - and stop at the first validation
+    failure (exit 1), infeasibility or schedule rejected by its verifier
+    (exit 2), leaving the corresponding marker in the report. The report
+    is written to ``out`` in every case; charts and tables go to
+    ``gantt_dir`` only for the schedules that passed their verifier before
+    the stop. File-system problems raise OSError; the CLI maps those to
+    exit 3.
+    """
+    text = pathlib.Path(scenario_path).read_text(encoding="utf-8")
+    report = {
+        "version": __version__,
+        "seed": seed,
+        "scenario": {
+            "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "nodes": 0,
+            "streams": 0,
+            "applications": 0,
+        },
+        "net": None,
+        "nodes": [],
+        "extensibility": None,
+        "tesla": None,
+    }
+
+    def finish(code: int, ns: NetSchedule | None = None,
+               schedules=()) -> tuple[int, dict]:
+        if out is not None:
+            pathlib.Path(out).write_text(json.dumps(report, indent=2) + "\n",
+                                         encoding="utf-8")
+        if gantt_dir is not None:
+            write_gantt(gantt_dir, gantt_format, ns, schedules)
+        return code, report
+
+    try:
+        s = load_scenario(text, d_hop_us, seed)
+    except FogweaverError as exc:
+        report["validation"] = [str(exc)]
+        return finish(EXIT_VALIDATION)
+    report["seed"] = s.params.solver_seed
+    report["scenario"].update(nodes=len(s.nodes), streams=len(s.streams),
+                              applications=len(s.applications))
+    validation = validate(s)
+    report["validation"] = [str(v) for v in validation]
+    if not validation.ok:
+        return finish(EXIT_VALIDATION)
+
+    # an InfeasibleError leaves ns and schedules at the last verified value
+    ns, schedules = None, []
+    stage = "net"  # the report key an InfeasibleError is filed under
+    try:
+        ns, verification, report["net"] = net_stage(s)
+        if not verification.ok:
+            return finish(EXIT_INFEASIBLE)
+        stage = "nodes"
+        schedules = synthesize_all_nodes(s)
+        verification, report["nodes"] = node_stage(schedules)
+        if not verification.ok:
+            return finish(EXIT_INFEASIBLE, ns)
+        util = utilization_report(schedules)
+        report["utilization"] = {
+            "average": _num(util.average),
+            "max": _num(util.max_value),
+            "max_node": util.max_node,
+            "max_core": util.max_core,
+        }
+        report["extensibility"] = extensibility_stage(schedules, optimize=True)
+        stage = "tesla"
+        report["tesla"] = tesla_stage(s, ns, TeslaConfig())
+    except InfeasibleError as exc:
+        marker = {"infeasible": str(exc), "unplaced": list(exc.unplaced)}
+        report[stage] = [marker] if stage == "nodes" else marker
+        return finish(EXIT_INFEASIBLE, ns, schedules)
+    return finish(EXIT_OK, ns, schedules)

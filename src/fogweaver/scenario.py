@@ -126,8 +126,8 @@ class ModelParams:
     """Tunable model constants.
 
     ``d_hop_us`` is the per-hop forwarding latency of the cut-through
-    delay model; ``weight_base`` drives criticality weighting in the
-    network-schedule objective.
+    delay model. ``weight_base`` is part of the scenario format (parsed
+    and printed with the other parameters); no solver reads it.
     """
 
     d_hop_us: Fraction = Fraction(2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fogweaver import cli
+from fogweaver import pipeline
 from fogweaver.cli import main
 from fogweaver.fixtures import uc1_text
 from fogweaver.pipeline import run_pipeline
@@ -170,10 +170,50 @@ def test_run_pipeline_api(uc1_file):
 def test_failed_verification_exits_2_before_writing(
         uc1_file, tmp_path, monkeypatch, capsys, command, verifier):
     broken = Report((Violation("overlap", "x", "injected"),))
-    monkeypatch.setattr(cli, verifier, lambda *args: broken)
+    monkeypatch.setattr(pipeline, verifier, lambda *args: broken)
     out, gantt = tmp_path / "out.json", tmp_path / "gantt"
     assert main([command, str(uc1_file), "-o", str(out),
                  "--gantt", str(gantt)]) == 2
     assert "[overlap] x: injected" in capsys.readouterr().err
     assert not out.exists()
     assert not gantt.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate", []),
+    ("net-schedule", []),
+    ("node-schedule", []),
+    ("extensibility", ["--optimize"]),
+    ("admit", ["--dynamic", "DYN", "--node", "E1", "--core", "0",
+               "--horizon", "10"]),
+    ("tesla", []),
+    ("pipeline", []),
+])
+def test_invalid_scenario_returns_1(tmp_path, capsys, command, extra):
+    bad = tmp_path / "bad.fog"
+    bad.write_text('node E1 { cores 2 class 1 }\n'
+                   'app "a" on E1 { level 1 tasks 1 period 10ms util 1.2 }\n')
+    dyn = tmp_path / "dynamic.json"
+    dyn.write_text(json.dumps({"tasks": []}))
+    argv = [command, str(bad)] + [str(dyn) if a == "DYN" else a for a in extra]
+    assert main(argv) == 1  # returned, not raised as SystemExit
+    assert "utilization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verifier, written", [
+    ("verify_net_schedule", set()),
+    ("verify_node_schedule", {"net.svg", "gcl.json"}),
+])
+def test_pipeline_rejected_schedule_exits_2(uc1_file, tmp_path, monkeypatch,
+                                            verifier, written):
+    broken = Report((Violation("overlap", "x", "injected"),))
+    monkeypatch.setattr(pipeline, verifier, lambda *args: broken)
+    out, gantt = tmp_path / "report.json", tmp_path / "gantt"
+    assert main(["pipeline", str(uc1_file), "-o", str(out),
+                 "--gantt", str(gantt)]) == 2
+    report = json.loads(out.read_text())
+    rejected = (report["net"] if verifier == "verify_net_schedule"
+                else report["nodes"][0])
+    assert rejected["verification"] == ["[overlap] x: injected"]
+    assert report["extensibility"] is None and report["tesla"] is None
+    assert {p.name for p in gantt.iterdir()} == written

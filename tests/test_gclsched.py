@@ -9,7 +9,6 @@ from fogweaver.errors import InfeasibleError, StreamNotScheduledError
 from fogweaver.gclsched import (
     NetSchedule,
     gcl_export,
-    objective,
     qoc_proxy,
     stream_metrics,
     synthesize_gcl,
@@ -195,13 +194,6 @@ def test_qoc_proxy_counts_jitter(uc1, uc1_net):
             sid: replace(t, jitter_us=t.jitter_us + (1000 if sid == "S1 data" else 0))
             for sid, t in uc1_net.per_stream.items()})
     assert qoc_proxy(jittery, uc1) - qoc_proxy(uc1_net, uc1) == Fraction(1, 50)
-
-
-def test_objective_is_weighted_offset_sum(uc1, uc1_net):
-    expected = sum(
-        (uc1.params.weight_base ** st.criticality * uc1_net.offsets[st.id]
-         for st in uc1.streams), Fraction(0))
-    assert objective(uc1_net, uc1) == expected
 
 
 # -- verifier mutation suite --------------------------------------------------
