@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from fractions import Fraction
@@ -138,7 +139,12 @@ def _require_verified(report: Report) -> None:
 
 
 def _d_hop(args) -> Fraction | None:
-    return Fraction(str(args.d_hop)) if args.d_hop is not None else None
+    if args.d_hop is None:
+        return None
+    if not math.isfinite(args.d_hop):
+        raise FogweaverError(
+            f"--d-hop must be a finite number, got {args.d_hop}")
+    return Fraction(str(args.d_hop))
 
 
 def _validated(args) -> Scenario:
@@ -187,12 +193,24 @@ def cmd_extensibility(args) -> int:
 
 
 def _load_dynamic_tasks(path: str) -> list[TaskSpec]:
-    doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    tasks = []
-    for row in doc["tasks"]:
-        period = row.get("period_us", row.get("period_ms", 0) * 1000)
-        tasks.append(TaskSpec(row["id"], Fraction(str(row["wcet_us"])), period,
-                              row.get("deadline_us")))
+    """Read ``{"tasks": [{"id", "wcet_us", "period_us" or "period_ms",
+    optional "deadline_us"}, ...]}``; periods and deadlines are whole us."""
+    try:
+        doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        tasks = []
+        for row in doc["tasks"]:
+            period = (row["period_us"] if "period_us" in row
+                      else row["period_ms"] * 1000)
+            tasks.append(TaskSpec(str(row["id"]), Fraction(str(row["wcet_us"])),
+                                  period, row.get("deadline_us")))
+    except KeyError as exc:
+        raise FogweaverError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # not JSON, or a wrong type
+        raise FogweaverError(f"{path}: {exc}") from None
+    if not all(isinstance(t.period_us, int) and isinstance(t.deadline_us, int)
+               for t in tasks):
+        raise FogweaverError(f"{path}: periods and deadlines must be whole "
+                             f"microseconds")
     return tasks
 
 
@@ -212,7 +230,10 @@ def cmd_admit(args) -> int:
             print(f"no applications on node {args.node!r}", file=sys.stderr)
             return EXIT_VALIDATION
         schedule = matches[0]
-    report = admit_dynamic(schedule, args.core, dynamic, args.horizon * 1000)
+    try:
+        report = admit_dynamic(schedule, args.core, dynamic, args.horizon * 1000)
+    except ValueError as exc:  # core, horizon or task timing out of range
+        raise FogweaverError(exc) from None
     _emit(args, report.to_json())  # a deadline miss is a result, not an error
     return EXIT_OK
 
@@ -224,9 +245,13 @@ def cmd_tesla(args) -> int:
         overrides["key_interval_us"] = args.interval
     if args.disclosure is not None:
         overrides["disclosure_delay"] = args.disclosure
+    try:
+        cfg = TeslaConfig(**overrides)
+    except ValueError as exc:
+        raise FogweaverError(exc) from None
     ns, verification, _ = net_stage(s)
     _require_verified(verification)
-    _emit(args, tesla_stage(s, ns, TeslaConfig(**overrides)))
+    _emit(args, tesla_stage(s, ns, cfg))
     return EXIT_OK
 
 

@@ -16,7 +16,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .nodesched import NodeSchedule, TaskSlice, rebuild_partitions, verify_node_schedule
+from .nodesched import (
+    NodeSchedule,
+    TaskSlice,
+    edf,
+    rebuild_partitions,
+    verify_node_schedule,
+)
 from .scenario import TaskSpec
 from .units import GRID_US, lcm_all
 
@@ -103,14 +109,11 @@ def _gap_variance(busy_sorted, frame: Fraction) -> tuple[int, Fraction]:
     return n, var
 
 
-def _idle_variance(ns: NodeSchedule, core: int) -> tuple[int, Fraction]:
-    return _gap_variance([(sl.start_us, sl.end_us) for sl in ns.core_slices(core)],
-                         Fraction(ns.major_frame_us))
-
-
 def ext_metric(ns: NodeSchedule, core: int) -> float:
     """Normalized deviation of idle-gap durations; 0 when fewer than two gaps."""
-    n, var = _idle_variance(ns, core)
+    n, var = _gap_variance(
+        [(sl.start_us, sl.end_us) for sl in ns.core_slices(core)],
+        Fraction(ns.major_frame_us))
     if n < 2:
         return 0.0
     return math.sqrt(float(var)) / ns.major_frame_us
@@ -119,86 +122,65 @@ def ext_metric(ns: NodeSchedule, core: int) -> float:
 # -- optimization -----------------------------------------------------------
 
 
-def _job_window(ns: NodeSchedule, sl: TaskSlice) -> tuple[Fraction, Fraction]:
-    task = ns.tasks[sl.task]
-    release = Fraction(sl.job_index * task.period_us)
-    return release, release + task.deadline_us
-
-
-def _even_spread(ns: NodeSchedule, core: int) -> list[TaskSlice] | None:
+def _even_spread(durations: list[int], windows: list[tuple[int, int]],
+                 frame: int) -> list[int] | None:
     """Re-place a core's slices with equal idle gaps where windows allow.
 
     Keeps the chronological slice order. A backward pass computes the
     latest feasible start of every slice (so no follower ever gets
     squeezed past its deadline); the forward pass then aims each slice at
-    ``previous end + ideal gap``, clamped into feasibility.
+    ``previous end + ideal gap``, clamped into feasibility. The tick scale
+    makes the ideal gap a whole number of ticks.
     """
-    ordered = ns.core_slices(core)
-    if not ordered:
-        return None
-    frame = Fraction(ns.major_frame_us)
-    busy = sum((sl.duration_us for sl in ordered), Fraction(0))
-    target_gap = (frame - busy) / (len(ordered) + 1)
-
-    latest: list[Fraction] = [Fraction(0)] * len(ordered)
+    target_gap = (frame - sum(durations)) // (len(durations) + 1)
+    latest = [0] * len(durations)
     horizon = frame
-    for i in reversed(range(len(ordered))):
-        sl = ordered[i]
-        deadline = _job_window(ns, sl)[1]
-        latest[i] = min(deadline, horizon) - sl.duration_us
+    for i in reversed(range(len(durations))):
+        latest[i] = min(windows[i][1], horizon) - durations[i]
         horizon = latest[i]
 
-    out: list[TaskSlice] = []
-    prev_end = Fraction(0)
-    for i, sl in enumerate(ordered):
-        lo = max(_job_window(ns, sl)[0], prev_end)
+    starts: list[int] = []
+    prev_end = 0
+    for i, duration in enumerate(durations):
+        lo = max(windows[i][0], prev_end)
         if lo > latest[i]:
             return None
         start = max(lo, min(prev_end + target_gap, latest[i]))
-        out.append(replace(sl, start_us=start, end_us=start + sl.duration_us))
-        prev_end = start + sl.duration_us
-    return out
+        starts.append(start)
+        prev_end = start + duration
+    return starts
 
 
-def _climb(ns: NodeSchedule, core: int, budget: int) -> NodeSchedule:
+def _climb(starts: list[int], durations: list[int],
+           windows: list[tuple[int, int]], frame: int, grid: int,
+           budget: int) -> tuple[list[int], Fraction]:
     """Best-improvement hill climbing on one core's idle-gap variance.
 
     Each round tries moving every slice to the left edge, the right edge
-    and the (grid-snapped) center of its feasible range and applies the
-    single move that lowers the variance most; stops at a local optimum or
-    after ``budget`` accepted moves. Moves are confined between the
-    neighbouring slices, so the chronological order never changes.
+    and the center of its feasible range, snapped to ``grid`` ticks, and
+    applies the single move that lowers the variance most; stops at a
+    local optimum or after ``budget`` accepted moves. Moves are confined
+    between the neighbouring slices, so the chronological order never
+    changes. Returns the new starts and their variance in ticks squared.
 
-    The search runs on exact integer ticks of ``1/scale`` us, where
-    ``scale`` is the lcm of the grid denominator and of every denominator
-    of the core's slice bounds. It keeps the idle gaps (gap ``i`` precedes
-    slice ``i``, the last one runs to the frame end), their positive count
-    ``n`` and their sum of squares ``q``; the gap total ``T`` is constant.
-    A move changes only the two gaps around the moved slice, so every
-    candidate is scored and every accepted move applied in O(1), comparing
-    the variances ``(q*n - T**2) / n**2`` exactly by cross-multiplication.
+    The climb keeps the idle gaps (gap ``i`` precedes slice ``i``, the last
+    one runs to the frame end), their positive count ``n`` and their sum of
+    squares ``q``; the gap total ``T`` is constant. A move changes only
+    the two gaps around the moved slice, so every candidate is scored and
+    every accepted move applied in O(1), comparing the variances
+    ``(q*n - T**2) / n**2`` exactly by cross-multiplication.
     """
-    ordered = ns.core_slices(core)
-    scale = math.lcm(GRID_US.denominator,
-                     *(t.denominator for sl in ordered
-                       for t in (sl.start_us, sl.end_us)))
-    grid = scale // GRID_US.denominator
-    frame = ns.major_frame_us * scale
-    starts = [int(sl.start_us * scale) for sl in ordered]
-    durations = [int(sl.duration_us * scale) for sl in ordered]
-    windows = [tuple(int(t * scale) for t in _job_window(ns, sl))
-               for sl in ordered]
     prev_ends = [0] + [s + d for s, d in zip(starts, durations)]
     gaps = [b - a for a, b in zip(prev_ends, starts + [frame])]
     n = sum(g > 0 for g in gaps)
     q = sum(g * g for g in gaps)
     total = sum(gaps)
+    starts = list(starts)
 
     def variance(n: int, q: int) -> tuple[int, int]:
         """(numerator, denominator) of the gap variance; 0 below two gaps."""
         return (q * n - total * total, n * n) if n > 1 else (0, 1)
 
-    moved: set[int] = set()
     for _ in range(budget):
         best_num, best_den = variance(n, q)
         best_move: tuple[int, int, int, int] | None = None
@@ -238,13 +220,50 @@ def _climb(ns: NodeSchedule, core: int, budget: int) -> NodeSchedule:
               - left * left - right * right)
         gaps[idx], gaps[idx + 1] = new_left, new_right
         starts[idx] = cand
-        moved.add(idx)
-    for idx in moved:
-        start = Fraction(starts[idx], scale)
-        ordered[idx] = replace(ordered[idx], start_us=start,
-                               end_us=start + ordered[idx].duration_us)
-    others = [s for s in ns.slices if s.core != core]
-    return replace(ns, slices=tuple(others + ordered))
+    return starts, Fraction(*variance(n, q))
+
+
+def _optimize_core(ns: NodeSchedule, core: int, budget: int
+                   ) -> list[TaskSlice] | None:
+    """The best layout of one core's slices, or None when neither climb
+    scores strictly below the current layout. The climb from the current
+    layout comes first and wins ties with the climb from the even spread.
+
+    The core is converted once to exact integer ticks of ``1/scale`` us:
+    the lcm of the grid denominator and of every denominator of the slice
+    bounds, times the slice count plus one so that the even-spread gap is
+    a whole number of ticks too. A layout is the list of slice starts in
+    chronological order.
+    """
+    ordered = ns.core_slices(core)
+    if not ordered:
+        return None
+    scale = math.lcm(GRID_US.denominator,
+                     *(t.denominator for sl in ordered
+                       for t in (sl.start_us, sl.end_us))) * (len(ordered) + 1)
+    frame = ns.major_frame_us * scale
+    starts = [int(sl.start_us * scale) for sl in ordered]
+    durations = [int(sl.end_us * scale) - s for sl, s in zip(ordered, starts)]
+    windows = []
+    for sl in ordered:
+        task = ns.tasks[sl.task]
+        release = sl.job_index * task.period_us
+        windows.append((release * scale, (release + task.deadline_us) * scale))
+
+    grid = scale // GRID_US.denominator
+    # a climb accepts only strictly better moves, so it scores below its
+    # start exactly when it moved
+    best, best_var = _climb(starts, durations, windows, frame, grid, budget)
+    spread = _even_spread(durations, windows, frame)
+    if spread is not None:
+        climbed, var = _climb(spread, durations, windows, frame, grid, budget)
+        if var < best_var:
+            best = climbed
+    if best == starts:
+        return None
+    return [replace(sl, start_us=Fraction(s, scale),
+                    end_us=Fraction(s + d, scale))
+            for sl, s, d in zip(ordered, best, durations)]
 
 
 def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200
@@ -258,24 +277,17 @@ def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200
     job windows and core non-overlap, so the output always verifies. The
     input is returned unchanged when nothing improves.
     """
-    result = ns
-    changed = False
+    moved = {}
     for core in range(ns.cores):
-        candidates = [_climb(result, core, iteration_budget)]
-        spread = _even_spread(result, core)
-        if spread is not None:
-            others = [s for s in result.slices if s.core != core]
-            spread_ns = replace(result, slices=tuple(others + spread))
-            candidates.append(_climb(spread_ns, core, iteration_budget))
-        base_var = _idle_variance(result, core)[1]
-        scores = [_idle_variance(cand, core)[1] for cand in candidates]
-        best_var = min(scores)
-        if best_var < base_var:
-            result = candidates[scores.index(best_var)]  # first minimum
-            changed = True
-    if not changed:
+        layout = _optimize_core(ns, core, iteration_budget)
+        if layout is not None:
+            moved[core] = layout
+    if not moved:
         return ns
-    out = rebuild_partitions(result)
+    slices = [sl for sl in ns.slices if sl.core not in moved]
+    for layout in moved.values():
+        slices += layout
+    out = rebuild_partitions(replace(ns, slices=tuple(slices)))
     report = verify_node_schedule(out)
     if not report.ok:  # a move broke an invariant: a bug, never user error
         raise AssertionError(f"optimizer produced an invalid schedule:\n{report}")
@@ -296,6 +308,14 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
     work is discarded. A task counts as admitted when none of its jobs
     misses within the horizon.
     """
+    if not 0 <= core < ns.cores:
+        raise ValueError(f"core {core} is outside 0..{ns.cores - 1} of "
+                         f"node {ns.node}")
+    bad = [t.id for t in dynamic
+           if min(t.period_us, t.wcet_us, t.deadline_us) <= 0]
+    if bad:
+        raise ValueError(f"dynamic tasks need a positive period, WCET and "
+                         f"deadline: {', '.join(bad)}")
     periods = [t.period_us for t in dynamic]
     static_periods = [t.period_us for t in ns.tasks.values()]
     cycle = lcm_all([*periods, *static_periods]) if (periods or static_periods) else 1
@@ -315,61 +335,20 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
     else:
         idle.append((Fraction(0), Fraction(horizon_us)))
 
-    jobs = []  # [deadline, release, task, job_index, remaining]
+    jobs = []
     for t in dynamic:
-        deadline_us = t.deadline_us if t.deadline_us is not None else t.period_us
         for k in range(horizon_us // t.period_us):
             release = k * t.period_us
-            jobs.append([Fraction(release + deadline_us), Fraction(release),
-                         t, k, Fraction(t.wcet_us)])
+            jobs.append((release, release + t.deadline_us, t.id, k,
+                         t.wcet_us))
+    runs, missed = edf(jobs, idle)
 
-    points = sorted({Fraction(0), Fraction(horizon_us)}
-                    | {j[0] for j in jobs} | {j[1] for j in jobs}
-                    | {edge for gap in idle for edge in gap})
-    misses: list[DeadlineMiss] = []
-    slices: list[TaskSlice] = []
+    misses = sorted((DeadlineMiss(task, release, deadline)
+                     for release, deadline, task, *_ in missed),
+                    key=lambda m: (m.deadline_us, m.task, m.release_us))
     admitted = {t.id: True for t in dynamic}
-
-    pending = sorted(jobs, key=lambda j: (j[1], j[0], j[2].id))
-    next_pending = 0
-    ready: list = []
-    idle_idx = 0
-
-    def emit(task_id: str, job_index: int, start: Fraction, end: Fraction):
-        if slices and slices[-1].task == task_id \
-                and slices[-1].job_index == job_index \
-                and slices[-1].end_us == start:
-            slices[-1] = replace(slices[-1], end_us=end)
-        else:
-            slices.append(TaskSlice(task_id, core, DYNAMIC_PARTITION,
-                                    start, end, job_index))
-
-    for t0, t1 in zip(points, points[1:]):
-        for job in [j for j in ready if j[0] <= t0]:
-            ready.remove(job)
-            misses.append(DeadlineMiss(job[2].id, int(job[1]), int(job[0])))
-            admitted[job[2].id] = False
-        while next_pending < len(pending) and pending[next_pending][1] <= t0:
-            ready.append(pending[next_pending])
-            next_pending += 1
-        while idle_idx < len(idle) and idle[idle_idx][1] <= t0:
-            idle_idx += 1
-        in_idle = (idle_idx < len(idle)
-                   and idle[idle_idx][0] <= t0 and t1 <= idle[idle_idx][1])
-        if not in_idle:
-            continue
-        t = t0
-        while t < t1 and ready:
-            job = min(ready, key=lambda j: (j[0], j[2].id, j[3]))
-            run = min(job[4], t1 - t)
-            emit(job[2].id, job[3], t, t + run)
-            job[4] -= run
-            t += run
-            if job[4] == 0:
-                ready.remove(job)
-
-    for job in ready:  # unfinished at the horizon: their deadline is the horizon
-        misses.append(DeadlineMiss(job[2].id, int(job[1]), int(job[0])))
-        admitted[job[2].id] = False
-    misses.sort(key=lambda m: (m.deadline_us, m.task))
-    return AdmissionReport(admitted, tuple(misses), tuple(slices))
+    for m in misses:
+        admitted[m.task] = False
+    slices = tuple(TaskSlice(task, core, DYNAMIC_PARTITION, start, end, k)
+                   for task, k, start, end in runs)
+    return AdmissionReport(admitted, tuple(misses), slices)

@@ -3,8 +3,8 @@
 Both renderers list every window/slice exactly once. The text form is a
 per-lane timeline listing (stable, diffable, terminal-friendly); the SVG
 form draws filled boxes for execution slices and frame windows, transparent
-outlines for partition windows, a small arrow head on slices that continue
-after preemption, and a distinct heavy border on missed-deadline boxes.
+outlines for partition windows and a small arrow head on slices that
+continue after preemption.
 Output is deterministic: no timestamps, no generated ids.
 """
 
@@ -27,22 +27,17 @@ def _fmt(t) -> str:
     return f"{n:g}" if isinstance(n, float) else str(n)
 
 
-def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii",
-               missed=()) -> str:
-    """Render a schedule as an ``ascii`` listing or an ``svg`` document.
-
-    ``missed`` is a collection of ``(task_id, job_index)`` pairs (node
-    schedules only) whose boxes get the missed-deadline style.
-    """
+def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"
+               ) -> str:
+    """Render a schedule as an ``ascii`` listing or an ``svg`` document."""
     if format not in ("ascii", "svg"):
         raise ValueError(f"format must be 'ascii' or 'svg', got {format!r}")
-    missed = set(missed)
     if isinstance(schedule, NetSchedule):
         lanes = _net_lanes(schedule)
         span = schedule.cycle_us
         title = f"network schedule, cycle {span} us"
     else:
-        lanes = _node_lanes(schedule, missed)
+        lanes = _node_lanes(schedule)
         span = schedule.major_frame_us
         title = (f"node {schedule.node} schedule, "
                  f"major frame {span} us")
@@ -53,7 +48,8 @@ def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii",
 
 # Lane model shared by both renderers:
 #   (lane label, boxes, outlines)
-#   box = (start, end, label, color_key, flags)  flags: "miss", "cont"
+#   box = (start, end, label, color_key, continues)  continues: the job
+#   runs again in a later slice (it was preempted)
 #   outline = (start, end, label)
 
 
@@ -65,7 +61,7 @@ def _net_lanes(ns: NetSchedule):
     for link_id in sorted(per_link):
         boxes = [
             (w.open_us, w.close_us, f"{w.stream} #{w.instance}", w.stream,
-             frozenset())
+             False)
             for w in sorted(per_link[link_id],
                             key=lambda w: (w.open_us, w.stream))
         ]
@@ -73,7 +69,7 @@ def _net_lanes(ns: NetSchedule):
     return lanes
 
 
-def _node_lanes(ns: NodeSchedule, missed: set):
+def _node_lanes(ns: NodeSchedule):
     lanes = []
     for core in range(ns.cores):
         slices = ns.core_slices(core)
@@ -84,16 +80,11 @@ def _node_lanes(ns: NodeSchedule, missed: set):
             key = (sl.task, sl.job_index)
             if key not in last_slice or sl.end_us > last_slice[key]:
                 last_slice[key] = sl.end_us
-        boxes = []
-        for sl in slices:
-            flags = set()
-            if (sl.task, sl.job_index) in missed:
-                flags.add("miss")
-            if last_slice[(sl.task, sl.job_index)] != sl.end_us:
-                flags.add("cont")
-            boxes.append((sl.start_us, sl.end_us,
-                          f"{sl.task} #{sl.job_index}", sl.task,
-                          frozenset(flags)))
+        boxes = [
+            (sl.start_us, sl.end_us, f"{sl.task} #{sl.job_index}", sl.task,
+             last_slice[(sl.task, sl.job_index)] != sl.end_us)
+            for sl in slices
+        ]
         outlines = [
             (w[0], w[1], p.id)
             for p in ns.partitions if p.core == core
@@ -111,12 +102,8 @@ def _ascii(title: str, span, lanes) -> str:
         out.append(f"{label}:")
         for start, end, text in outlines:
             out.append(f"  (partition) [{_fmt(start)}, {_fmt(end)}) {text}")
-        for start, end, text, _key, flags in boxes:
-            marks = ""
-            if "cont" in flags:
-                marks += " >"    # preempted, continues later
-            if "miss" in flags:
-                marks += " !MISS"
+        for start, end, text, _key, continues in boxes:
+            marks = " >" if continues else ""
             out.append(f"  [{_fmt(start)}, {_fmt(end)}) {text}{marks}")
         if not boxes and not outlines:
             out.append("  (empty)")
@@ -157,15 +144,13 @@ def _svg(title: str, span, lanes) -> str:
                 f'width="{max(x(end) - x(start), 0.5):g}" height="{lane_h - 6}" '
                 f'fill="none" stroke="#555" stroke-dasharray="3,2">'
                 f'<title>{_esc(text)}</title></rect>')
-        for start, end, text, key, flags in boxes:
-            style = 'stroke="red" stroke-width="2"' if "miss" in flags \
-                else 'stroke="#333" stroke-width="0.5"'
+        for start, end, text, key, continues in boxes:
             parts.append(
                 f'<rect x="{x(start):g}" y="{y + 5}" '
                 f'width="{max(x(end) - x(start), 0.8):g}" height="{lane_h - 14}" '
-                f'fill="{color(key)}" {style}>'
+                f'fill="{color(key)}" stroke="#333" stroke-width="0.5">'
                 f'<title>{_esc(text)} [{_fmt(start)}, {_fmt(end)})</title></rect>')
-            if "cont" in flags:  # arrow head: job continues in a later slice
+            if continues:  # arrow head: job continues in a later slice
                 xe, ym = x(end), y + lane_h / 2 - 2
                 parts.append(
                     f'<path d="M {xe:g} {ym - 4:g} L {xe + 5:g} {ym:g} '

@@ -11,6 +11,8 @@ finished schedule from the slices alone.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -129,55 +131,59 @@ def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
     return mapping
 
 
-def _edf_core(tasks: list[NodeTask], major_frame: int,
-              node: str, core: int) -> list[tuple[NodeTask, int, Fraction, Fraction]]:
-    """Preemptive EDF over one major frame on one core.
+def edf(jobs: list[tuple], intervals) -> tuple[list[tuple], list[tuple]]:
+    """Event-driven preemptive EDF of ``jobs`` inside the ``intervals``.
 
-    Returns merged execution runs as (task, job_index, start, end). Raises
-    :class:`InfeasibleError` at the first job that cannot finish by its
-    deadline, identified by task and absolute deadline.
+    A job is ``(release, deadline, task, job, wcet)``; ``intervals`` are
+    start-sorted, disjoint ``(start, end)`` pairs of available time. The
+    ready job with the earliest deadline runs, ties broken by task id, then
+    job index; a run ends at the next release, the end of its interval or
+    the job's deadline. A job unfinished at its deadline, or when the
+    intervals run out, is dropped. The simulation runs on exact integer
+    ticks of ``1/scale`` us, ``scale`` being the lcm of every denominator
+    in the input.
+
+    Returns the runs ``(task, job, start, end)``, consecutive runs of one
+    job merged, and the dropped jobs.
     """
-    jobs = []  # [deadline, task, job_index, release, remaining]
-    for t in tasks:
-        for k in range(major_frame // t.period_us):
-            jobs.append([k * t.period_us + t.deadline_us, t, k,
-                         k * t.period_us, t.wcet_us])
-    runs: list[tuple[NodeTask, int, Fraction, Fraction]] = []
-    t_now = Fraction(0)
-    pending = sorted(jobs, key=lambda j: (j[3], j[0], j[1].id))  # by release
-    ready: list = []
-    next_pending = 0
-    while next_pending < len(pending) or ready:
-        while (next_pending < len(pending)
-               and pending[next_pending][3] <= t_now):
-            ready.append(pending[next_pending])
-            next_pending += 1
-        if not ready:
-            t_now = Fraction(pending[next_pending][3])
-            continue
-        job = min(ready, key=lambda j: (j[0], j[1].id, j[2]))
-        next_release = (Fraction(pending[next_pending][3])
-                        if next_pending < len(pending) else None)
-        run = job[4]
-        if next_release is not None and t_now + run > next_release:
-            run = next_release - t_now
-        start, end = t_now, t_now + run
-        if runs and runs[-1][0] is job[1] and runs[-1][1] == job[2] \
-                and runs[-1][3] == start:
-            runs[-1] = (job[1], job[2], runs[-1][2], end)
-        else:
-            runs.append((job[1], job[2], start, end))
-        job[4] -= run
-        t_now = end
-        if job[4] == 0:
-            ready.remove(job)
-            if end > job[0]:
-                raise InfeasibleError(
-                    f"node {node} core {core}: job {job[1].id}#{job[2]} "
-                    f"finishes at {float(end):.1f} us, after its deadline "
-                    f"{job[0]} us",
-                    unplaced=[job[1].id])
-    return runs
+    scale = math.lcm(*(x.denominator for j in jobs for x in (j[0], j[1], j[4])),
+                     *(x.denominator for iv in intervals for x in iv))
+    # [release, deadline, task, job, work left, the caller's job], times in
+    # ticks, latest release first so that pop() takes the earliest
+    pending = sorted(([int(j[0] * scale), int(j[1] * scale), j[2], j[3],
+                       int(j[4] * scale), j] for j in jobs),
+                     key=lambda e: e[0], reverse=True)
+    ready: list[tuple] = []  # heap of (deadline, task, job, entry)
+    runs: list[tuple] = []
+    missed: list[tuple] = []
+    for start, end in intervals:
+        t, end = int(start * scale), int(end * scale)
+        while t < end:
+            while pending and pending[-1][0] <= t:
+                entry = pending.pop()
+                heapq.heappush(ready, (entry[1], entry[2], entry[3], entry))
+            while ready and ready[0][0] <= t:
+                missed.append(heapq.heappop(ready)[3][5])
+            if not ready:
+                if not pending:
+                    break
+                t = pending[-1][0]
+                continue
+            deadline, task, k, entry = ready[0]
+            stop = min(end, deadline, t + entry[4])
+            if pending and pending[-1][0] < stop:
+                stop = pending[-1][0]
+            if runs and runs[-1][:2] == (task, k) and runs[-1][3] == t:
+                runs[-1] = (task, k, runs[-1][2], stop)
+            else:
+                runs.append((task, k, t, stop))
+            entry[4] -= stop - t
+            t = stop
+            if entry[4] == 0:
+                heapq.heappop(ready)
+    missed += [entry[5] for *_, entry in ready] + [e[5] for e in pending]
+    return [(task, k, Fraction(a, scale), Fraction(b, scale))
+            for task, k, a, b in runs], missed
 
 
 def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
@@ -205,12 +211,18 @@ def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
     major_frame = hyperperiod([t.period_us for t in tasks])
     slices: list[TaskSlice] = []
     for core in range(node.cores):
-        core_tasks = [t for t in tasks if mapping[t.id] == core]
-        if not core_tasks:
-            continue
-        for task, job, start, end in _edf_core(core_tasks, major_frame,
-                                               node.id, core):
-            slices.append(TaskSlice(task.id, core, "", start, end, job))
+        jobs = [(k * t.period_us, k * t.period_us + t.deadline_us, t.id, k,
+                 t.wcet_us)
+                for t in tasks if mapping[t.id] == core
+                for k in range(major_frame // t.period_us)]
+        runs, missed = edf(jobs, [(0, major_frame)])
+        if missed:
+            _, deadline, task, k, _ = min(missed, key=lambda j: j[1:4])
+            raise InfeasibleError(
+                f"node {node.id} core {core}: job {task}#{k} misses its "
+                f"deadline {deadline} us", unplaced=[task])
+        slices += [TaskSlice(task, core, "", start, end, k)
+                   for task, k, start, end in runs]
 
     util = []
     for core in range(node.cores):

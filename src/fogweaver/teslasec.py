@@ -81,8 +81,7 @@ class SecurityOverlay:
         return tuple(t for s in self.streams for t in (s.sign, s.verify))
 
 
-def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig,
-                secured_ids: list[str] | None = None
+def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
                 ) -> tuple[SecurityOverlay, Scenario]:
     """Attach the authentication overlay to the scheduled streams.
 
@@ -93,20 +92,12 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig,
     no fog-node capacity. Raises :class:`TaskPlacementInfeasibleError` when
     a node cannot absorb its new security tasks.
     """
-    wanted = set(secured_ids) if secured_ids is not None else {st.id for st in s.streams}
-    unknown = wanted - {st.id for st in s.streams}
-    if unknown:
-        raise MismatchedStreamsError(f"unknown streams: {sorted(unknown)}")
-
     node_ids = {n.id for n in s.nodes}
     secured: list[SecuredStream] = []
     new_streams: list[StreamSpec] = []
     new_apps: list[ApplicationSpec] = []
 
     for st in s.streams:
-        if st.id not in wanted:
-            new_streams.append(st)
-            continue
         if st.id not in ns.offsets:
             raise MismatchedStreamsError(f"stream {st.id!r} is not scheduled")
         growth = cfg.mac_bytes + cfg.key_bytes if cfg.grow_frames else 0

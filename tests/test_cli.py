@@ -217,3 +217,36 @@ def test_pipeline_rejected_schedule_exits_2(uc1_file, tmp_path, monkeypatch,
     assert rejected["verification"] == ["[overlap] x: injected"]
     assert report["extensibility"] is None and report["tesla"] is None
     assert {p.name for p in gantt.iterdir()} == written
+
+
+def _admit(core="0", horizon="30"):
+    return ["admit", "UC1", "--dynamic", "DYN", "--node", "E4", "--core", core,
+            "--horizon", horizon]
+
+
+_ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
+
+
+@pytest.mark.parametrize("argv, dynamic", [
+    (["tesla", "UC1", "--interval", "0"], None),
+    (["tesla", "UC1", "--disclosure", "-1"], None),
+    (["net-schedule", "UC1", "--d-hop", "nan"], None),
+    (["pipeline", "UC1", "--d-hop", "inf"], None),
+    (_admit(), {}),
+    (_admit(), {"tasks": [{"wcet_us": 100, "period_ms": 10}]}),
+    (_admit(), {"tasks": [{"id": "d", "period_ms": 10}]}),
+    (_admit(), {"tasks": [{"id": "d", "wcet_us": 100}]}),
+    (_admit(horizon="0"), _ONE_TASK),
+    (_admit(core="7"), _ONE_TASK),  # E4 has two cores
+], ids=["interval-0", "disclosure-negative", "d-hop-nan", "d-hop-inf",
+        "no-tasks", "no-id", "no-wcet", "no-period", "horizon-0", "core-7"])
+def test_bad_input_exits_1_with_one_line(uc1_file, tmp_path, capsys,
+                                         argv, dynamic):
+    dyn = tmp_path / "dynamic.json"
+    dyn.write_text(json.dumps(dynamic))
+    argv = [{"UC1": str(uc1_file), "DYN": str(dyn)}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

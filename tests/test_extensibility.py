@@ -25,7 +25,7 @@ from fogweaver.nodesched import (
     verify_node_schedule,
 )
 from fogweaver.scenario import ApplicationSpec, FogNodeSpec, TaskSpec
-from fogweaver.units import ceil_to_grid, floor_to_grid
+from fogweaver.units import GRID_US, ceil_to_grid, floor_to_grid
 
 
 def _app(name, level, tasks, period_us, util):
@@ -170,43 +170,38 @@ def test_optimizer_reproduces_checked_in_fixture(base, optimized):
         assert out.core_slices(core) == optimized.core_slices(core)
 
 
-def _reference_climb(ns, core, budget):
+def _reference_climb(starts, durations, windows, frame, budget):
     """The climb re-scoring every candidate from scratch on Fractions."""
-    ordered = ns.core_slices(core)
-    frame = Fraction(ns.major_frame_us)
+    starts = list(starts)
     for _ in range(budget):
-        intervals = [(sl.start_us, sl.end_us) for sl in ordered]
+        intervals = [(s, s + d) for s, d in zip(starts, durations)]
         best_var, best_move = _gap_variance(intervals, frame)[1], None
-        for idx, sl in enumerate(ordered):
-            task = ns.tasks[sl.task]
-            release = Fraction(sl.job_index * task.period_us)
-            deadline = release + task.deadline_us
-            last = idx + 1 == len(ordered)
+        for idx, (start, duration) in enumerate(zip(starts, durations)):
+            release, deadline = windows[idx]
+            last = idx + 1 == len(starts)
             prev_end = intervals[idx - 1][1] if idx else Fraction(0)
             next_start = frame if last else intervals[idx + 1][0]
             lo = max(release, prev_end)
-            hi = (deadline if last else min(deadline, next_start)) \
-                - sl.duration_us
+            hi = (deadline if last else min(deadline, next_start)) - duration
             if hi < lo:
                 continue
-            center = (prev_end + next_start - sl.duration_us) / 2
+            center = (prev_end + next_start - duration) / 2
             cands = {lo, hi} | {min(hi, max(lo, snap(center)))
                                 for snap in (floor_to_grid, ceil_to_grid)}
-            for start in sorted(cands):
-                if start == sl.start_us:
+            for cand in sorted(cands):
+                if cand == start:
                     continue
-                intervals[idx] = (start, start + sl.duration_us)
+                intervals[idx] = (cand, cand + duration)
                 var = _gap_variance(intervals, frame)[1]
                 if var < best_var:
-                    best_var, best_move = var, (idx, start)
-            intervals[idx] = (sl.start_us, sl.end_us)
+                    best_var, best_move = var, (idx, cand)
+            intervals[idx] = (start, start + duration)
         if best_move is None:
             break
-        idx, start = best_move
-        ordered[idx] = replace(ordered[idx], start_us=start,
-                               end_us=start + ordered[idx].duration_us)
-    others = [s for s in ns.slices if s.core != core]
-    return replace(ns, slices=tuple(others + ordered))
+        idx, cand = best_move
+        starts[idx] = cand
+    intervals = [(s, s + d) for s, d in zip(starts, durations)]
+    return starts, _gap_variance(intervals, frame)[1]
 
 
 def _oracle_nodes():
@@ -226,16 +221,31 @@ def _oracle_nodes():
 def test_climb_matches_fraction_reference(monkeypatch):
     # checks every climb the optimizer runs: from the synthesized layout
     # and from the even spread, on every core
+    # (the climb works on ticks of 1/scale us; the reference on us)
     fast_climb = extensibility._climb
+    climbs = []
 
-    def checked_climb(ns, core, budget):
-        out = fast_climb(ns, core, budget)
-        assert out == _reference_climb(ns, core, budget)
-        return out
+    def checked_climb(starts, durations, windows, frame, grid, budget):
+        out, var = fast_climb(starts, durations, windows, frame, grid, budget)
+        scale = grid * GRID_US.denominator
+
+        def us(ticks):
+            return [Fraction(t, scale) for t in ticks]
+
+        ref, ref_var = _reference_climb(
+            us(starts), us(durations), [tuple(us(w)) for w in windows],
+            Fraction(frame, scale), budget)
+        assert us(out) == ref
+        assert var / scale ** 2 == ref_var
+        climbs.append(starts)
+        return out, var
 
     monkeypatch.setattr(extensibility, "_climb", checked_climb)
+    cores = 0
     for ns in _oracle_nodes():
         optimize_extensibility(ns)
+        cores += sum(bool(ns.core_slices(c)) for c in range(ns.cores))
+    assert len(climbs) > cores  # some cores also climbed from the even spread
 
 
 # -- dynamic admission -----------------------------------------------------------
@@ -287,6 +297,11 @@ def test_capacity_bound(base):
                   Fraction(0))
     idle_per_frame = idle_profile(base, EXTENSIBILITY_CORE).total_us
     assert granted <= idle_per_frame * (120_000 // base.major_frame_us)
+
+
+def test_core_outside_node_is_rejected(base):
+    with pytest.raises(ValueError, match="core 3"):
+        admit_dynamic(base, base.cores, dynamic_logging_tasks(), 120_000)
 
 
 def test_horizon_must_cover_all_periods(base):

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from fogweaver.gantt import emit_gantt
-from fogweaver.nodesched import synthesize_node_schedule
-from fogweaver.scenario import ApplicationSpec, FogNodeSpec, Scenario
+from fogweaver.scenario import Scenario
 from fogweaver.gclsched import synthesize_gcl
 
 
@@ -40,17 +37,6 @@ def test_partitions_rendered_as_outlines(uc1_node_schedules):
     outlines = [l for l in text.splitlines() if l.startswith("  (partition)")]
     assert len(outlines) == sum(len(p.windows) for p in ns.partitions)
     assert 'stroke-dasharray' in emit_gantt(ns, "svg")
-
-
-def test_missed_jobs_are_styled():
-    node = FogNodeSpec("N", cores=1)
-    apps = [ApplicationSpec("a", "N", 1, 1, 10_000, Fraction("0.5"))]
-    ns = synthesize_node_schedule(node, apps, {"a/t0": 0})
-    missed = {("a/t0", 0)}
-    assert "!MISS" in emit_gantt(ns, "ascii", missed=missed)
-    assert 'stroke="red"' in emit_gantt(ns, "svg", missed=missed)
-    assert "!MISS" not in emit_gantt(ns, "ascii")
-    assert 'stroke="red"' not in emit_gantt(ns, "svg")
 
 
 def test_preemption_continuation_marked(uc1_node_schedules):
