@@ -35,7 +35,8 @@ from . import __version__
 from .errors import FogweaverError, InfeasibleError
 from .extensibility import admit_dynamic
 from .gclsched import gcl_export
-from .nodesched import node_schedule_from_json, node_schedule_to_json
+from .nodesched import (node_schedule_from_json, node_schedule_to_json,
+                        verify_node_schedule)
 from .pipeline import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -217,12 +218,17 @@ def _load_dynamic_tasks(path: str) -> list[TaskSpec]:
 def cmd_admit(args) -> int:
     dynamic = _load_dynamic_tasks(args.dynamic)
     if args.schedule:
-        doc = json.loads(pathlib.Path(args.schedule).read_text(encoding="utf-8"))
+        text = pathlib.Path(args.schedule).read_text(encoding="utf-8")
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise FogweaverError(f"{args.schedule}: {exc}") from None
         schedule = node_schedule_from_json(doc)
         if schedule.node != args.node:
             print(f"schedule file describes node {schedule.node!r}, "
                   f"not {args.node!r}", file=sys.stderr)
             return EXIT_VALIDATION
+        _require_verified(verify_node_schedule(schedule))
     else:
         s = _validated(args)
         matches = [n for n in synthesize_all_nodes(s) if n.node == args.node]

@@ -42,11 +42,14 @@ class InfeasibleError(FogweaverError):
     """A synthesis step could not place every stream or task.
 
     ``unplaced`` names the items that could not be accommodated.
+    ``gave_up`` is true when a search stopped on its budget instead of
+    proving that no placement exists.
     """
 
-    def __init__(self, message: str, unplaced=()):
+    def __init__(self, message: str, unplaced=(), gave_up: bool = False):
         super().__init__(message)
         self.unplaced = tuple(unplaced)
+        self.gave_up = gave_up
 
 
 class TaskPlacementInfeasibleError(InfeasibleError):

@@ -11,8 +11,13 @@ link, and chronological backtracking revisits earlier placements when a
 stream cannot be placed. Because the most critical streams are placed
 first, they are the ones pushed toward their delay lower bound.
 
-The verifier re-checks a finished schedule with plain interval arithmetic
-and shares no code with the solver.
+The search runs on exact integer ticks of 1/lcm(10, denominator of
+``d_hop``) us: transmission times lie on the 0.1 us grid and periods and
+deadlines are whole microseconds, so every time it compares is a whole
+number of ticks. The accepted offsets are turned into ``Fraction`` offsets
+and windows once, at the end. The verifier re-checks a finished schedule
+with plain ``Fraction`` interval arithmetic and shares no code with the
+solver.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InfeasibleError, StreamNotScheduledError
-from .netmodel import Route, resolve_route, transmission_time
+from .netmodel import resolve_route, transmission_time
 from .reporting import Report, ReportBuilder
 from .scenario import Scenario, StreamSpec, hyperperiod
-from .units import GRID_US, ceil_to_grid, time_to_json
+from .units import GRID_US, time_to_json
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -64,31 +69,35 @@ def _priority_key(st: StreamSpec):
     return (-st.criticality, st.period_us, -st.size_bytes, st.id)
 
 
-def _stream_windows(st: StreamSpec, route: Route, tx: Fraction, phi: Fraction,
-                    d_hop: Fraction, cycle: int) -> list[FrameWindow]:
-    wins = []
-    for k in range(cycle // st.period_us):
-        base = phi + k * st.period_us
-        for j, link in enumerate(route.links):
-            opn = base + j * d_hop
-            wins.append(FrameWindow(link.id, st.id, k, opn, opn + tx))
-    return wins
+@dataclass(frozen=True)
+class _TickStream:
+    """One stream's search inputs in integer ticks."""
+
+    period: int
+    tx: int
+    hops: tuple[tuple[str, int], ...]  # (link id, shift of its window)
+    phi_max: int                        # latest offset that meets the deadline
 
 
-def _forbidden_offsets(st: StreamSpec, route: Route, tx: Fraction,
-                       d_hop: Fraction, phi_max: Fraction,
-                       busy: dict[str, list[tuple[Fraction, Fraction]]],
-                       ) -> list[tuple[Fraction, Fraction]]:
+def _tick_windows(t: _TickStream, phi: int,
+                  span: int) -> Iterator[tuple[int, str, int]]:
+    """(instance, link id, open tick) of each window of a stream at ``phi``."""
+    for k, base in enumerate(range(phi, phi + span, t.period)):
+        for link, shift in t.hops:
+            yield k, link, base + shift
+
+
+def _forbidden_offsets(t: _TickStream, busy: dict[str, list[tuple[int, int]]],
+                       ) -> list[tuple[int, int]]:
     """Open intervals of phi that collide with already-placed windows."""
-    T = st.period_us
-    out: list[tuple[Fraction, Fraction]] = []
-    for j, link in enumerate(route.links):
-        shift = j * d_hop
-        for b0, b1 in busy.get(link.id, ()):
+    T, tx, phi_max = t.period, t.tx, t.phi_max
+    out: list[tuple[int, int]] = []
+    for link, shift in t.hops:
+        for b0, b1 in busy.get(link, ()):
             # window [phi + kT + shift, phi + kT + shift + tx) overlaps
             # [b0, b1) iff  b0 - kT - shift - tx < phi < b1 - kT - shift
-            k_lo = math.floor((b0 - shift - tx - phi_max) / T)
-            k_hi = math.floor((b1 - shift) / T)
+            k_lo = (b0 - shift - tx - phi_max) // T
+            k_hi = (b1 - shift) // T
             for k in range(max(k_lo, 0), k_hi + 1):
                 lo = b0 - k * T - shift - tx
                 hi = b1 - k * T - shift
@@ -96,7 +105,7 @@ def _forbidden_offsets(st: StreamSpec, route: Route, tx: Fraction,
                     continue
                 out.append((lo, hi))
     out.sort()
-    merged: list[tuple[Fraction, Fraction]] = []
+    merged: list[tuple[int, int]] = []
     for lo, hi in out:
         if merged and lo < merged[-1][1]:  # strict: touching intervals keep the
             if hi > merged[-1][1]:         # shared endpoint schedulable
@@ -106,25 +115,22 @@ def _forbidden_offsets(st: StreamSpec, route: Route, tx: Fraction,
     return merged
 
 
-def _offset_candidates(st: StreamSpec, route: Route, tx: Fraction,
-                       d_hop: Fraction,
-                       busy: dict[str, list[tuple[Fraction, Fraction]]],
-                       ) -> Iterator[Fraction]:
-    """Feasible injection offsets in increasing order, on the 0.1 us grid."""
-    phi_max = Fraction(st.deadline_us) - route.hops * d_hop - tx
-    if phi_max < 0:
+def _offset_candidates(t: _TickStream, grid: int,
+                       busy: dict[str, list[tuple[int, int]]]) -> Iterator[int]:
+    """Feasible injection offsets in increasing order, on the ``grid``."""
+    if t.phi_max < 0:
         return
-    forbidden = _forbidden_offsets(st, route, tx, d_hop, phi_max, busy)
-    phi = Fraction(0)
+    forbidden = _forbidden_offsets(t, busy)
+    phi = 0
     idx = 0
-    while phi <= phi_max:
+    while phi <= t.phi_max:
         while idx < len(forbidden) and forbidden[idx][1] <= phi:
             idx += 1
         if idx < len(forbidden) and forbidden[idx][0] < phi < forbidden[idx][1]:
-            phi = ceil_to_grid(forbidden[idx][1])
+            phi = -(-forbidden[idx][1] // grid) * grid  # round up to the grid
             continue
         yield phi
-        phi += GRID_US
+        phi += grid
 
 
 def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSchedule:
@@ -132,7 +138,7 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
 
     Deterministic for a given scenario. Raises :class:`InfeasibleError`
     naming the streams that could not be placed when the search space or
-    the ``node_budget`` is exhausted.
+    the ``node_budget`` is exhausted (``gave_up`` tells the two apart).
     """
     if not s.streams:
         return NetSchedule(0, s.params.d_hop_us, {}, (), {})
@@ -140,25 +146,36 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
     d_hop = s.params.d_hop_us
     cycle = hyperperiod([st.period_us for st in s.streams])
     order = sorted(s.streams, key=_priority_key)
-    routes = {st.id: resolve_route(s, st) for st in order}
-    tx = {
-        st.id: transmission_time(
-            st.size_bytes, min(l.rate_bps for l in routes[st.id].links))
-        for st in order
-    }
 
-    busy: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    placed_windows: list[list[FrameWindow] | None] = [None] * len(order)
-    offsets: list[Fraction | None] = [None] * len(order)
-    gens: list[Iterator[Fraction] | None] = [None] * len(order)
+    # one tick is 1/scale us: transmission times lie on the 0.1 us grid,
+    # periods and deadlines are whole us, so every search time is a whole tick
+    scale = math.lcm(GRID_US.denominator, d_hop.denominator)
+    grid = scale // GRID_US.denominator
+    hop = int(d_hop * scale)
+    ticks = []
+    for st in order:
+        route = resolve_route(s, st)
+        tx = int(transmission_time(
+            st.size_bytes, min(l.rate_bps for l in route.links)) * scale)
+        ticks.append(_TickStream(
+            period=st.period_us * scale,
+            tx=tx,
+            hops=tuple((link.id, j * hop) for j, link in enumerate(route.links)),
+            phi_max=st.deadline_us * scale - route.hops * hop - tx))
+
+    busy: dict[str, list[tuple[int, int]]] = {}
+    # busy-list lengths before each placement, so undoing it truncates them
+    undo: list[list[tuple[str, int]] | None] = [None] * len(order)
+    offsets: list[int | None] = [None] * len(order)
+    gens: list[Iterator[int] | None] = [None] * len(order)
     nodes_tried = 0
     deepest_failure = 0
 
     i = 0
     while 0 <= i < len(order):
-        st = order[i]
+        t = ticks[i]
         if gens[i] is None:
-            gens[i] = _offset_candidates(st, routes[st.id], tx[st.id], d_hop, busy)
+            gens[i] = _offset_candidates(t, grid, busy)
         phi = next(gens[i], None)
         if phi is None:
             # dead end: drop this stream's generator, undo the previous
@@ -167,20 +184,17 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
             gens[i] = None
             i -= 1
             if i >= 0:
-                for w in placed_windows[i]:
-                    busy[w.link].remove((w.open_us, w.close_us))
-                placed_windows[i] = None
-                offsets[i] = None
+                for link, n in undo[i]:
+                    del busy[link][n:]
             continue
         nodes_tried += 1
         if nodes_tried > node_budget:
             raise InfeasibleError(
                 f"search budget of {node_budget} placements exhausted",
-                unplaced=[o.id for o in order[i:]])
-        wins = _stream_windows(st, routes[st.id], tx[st.id], phi, d_hop, cycle)
-        for w in wins:
-            busy.setdefault(w.link, []).append((w.open_us, w.close_us))
-        placed_windows[i] = wins
+                unplaced=[o.id for o in order[i:]], gave_up=True)
+        undo[i] = [(link, len(busy.setdefault(link, []))) for link, _ in t.hops]
+        for _, link, opn in _tick_windows(t, phi, cycle * scale):
+            busy[link].append((opn, opn + t.tx))
         offsets[i] = phi
         i += 1
 
@@ -189,17 +203,19 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
             "no feasible offset assignment",
             unplaced=[o.id for o in order[deepest_failure:]])
 
-    windows = tuple(w for wins in placed_windows for w in wins)
-    offset_map = {st.id: offsets[idx] for idx, st in enumerate(order)}
-    schedule = NetSchedule(
-        cycle_us=cycle,
-        d_hop_us=d_hop,
-        offsets={st.id: offset_map[st.id] for st in s.streams},
-        windows=windows,
-        per_stream={},
-    )
-    per_stream = {st.id: stream_metrics(schedule, st) for st in s.streams}
-    return NetSchedule(cycle, d_hop, schedule.offsets, windows, per_stream)
+    placed = list(zip(order, ticks, offsets))
+    windows = tuple(
+        FrameWindow(link, st.id, k, Fraction(opn, scale),
+                    Fraction(opn + t.tx, scale))
+        for st, t, phi in placed
+        for k, link, opn in _tick_windows(t, phi, cycle * scale))
+    phis = {st.id: Fraction(phi, scale) for st, _, phi in placed}
+    # zero jitter: every instance arrives tx + hops * d_hop after its offset
+    timing = {st.id: StreamTiming(Fraction(phi + t.tx + len(t.hops) * hop, scale),
+                                  Fraction(0))
+              for st, t, phi in placed}
+    return NetSchedule(cycle, d_hop, {st.id: phis[st.id] for st in s.streams},
+                       windows, {st.id: timing[st.id] for st in s.streams})
 
 
 def stream_metrics(ns: NetSchedule, st: StreamSpec) -> StreamTiming:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InfeasibleError
+from .errors import FogweaverError, InfeasibleError
 from .reporting import Report, ReportBuilder
 from .scenario import ApplicationSpec, FogNodeSpec, expand_tasks, hyperperiod
 from .units import time_from_json, time_to_json
@@ -407,31 +407,66 @@ def node_schedule_to_json(ns: NodeSchedule) -> dict:
 
 
 def node_schedule_from_json(doc: dict) -> NodeSchedule:
+    """Inverse of :func:`node_schedule_to_json`.
+
+    Raises :class:`FogweaverError` for a missing key or a value of the
+    wrong type. It does not check the schedule itself; that is
+    :func:`verify_node_schedule`'s job.
+    """
+    try:
+        return _node_schedule_from_json(doc)
+    except KeyError as exc:
+        raise FogweaverError(f"node schedule: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FogweaverError(f"node schedule: {exc}") from None
+
+
+def _whole(value, what: str, least: int = 0) -> int:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be a whole number >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _node_schedule_from_json(doc: dict) -> NodeSchedule:
+    node = _text(doc["node"], "node")
     tasks = {
-        tid: NodeTask(tid, spec["criticality"], time_from_json(spec["wcet_us"]),
-                      spec["period_us"], spec["deadline_us"])
+        tid: NodeTask(tid, _whole(spec["criticality"], "criticality"),
+                      time_from_json(spec["wcet_us"]),
+                      _whole(spec["period_us"], "period_us", 1),
+                      _whole(spec["deadline_us"], "deadline_us", 1))
         for tid, spec in doc.get("tasks", {}).items()
     }
     partitions: dict[str, Partition] = {}
     slices: list[TaskSlice] = []
-    for core_doc in doc["cores"]:
-        core = core_doc["core"]
+    cores = [_whole(core_doc["core"], "core") for core_doc in doc["cores"]]
+    for core, core_doc in zip(cores, doc["cores"]):
         for w in core_doc.get("windows", ()):
-            pid = w["partition"]
+            pid = _text(w["partition"], "partition")
             win = (time_from_json(w["start_us"]), time_from_json(w["end_us"]))
             if pid in partitions:
                 partitions[pid] = replace(partitions[pid],
                                           windows=partitions[pid].windows + (win,))
             else:
-                partitions[pid] = Partition(pid, doc["node"], w["criticality"],
-                                            core, (win,))
+                partitions[pid] = Partition(
+                    pid, node, _whole(w["criticality"], "criticality"),
+                    core, (win,))
         for sl in core_doc.get("slices", ()):
-            slices.append(TaskSlice(sl["task"], core, sl["partition"],
+            slices.append(TaskSlice(_text(sl["task"], "task"), core,
+                                    _text(sl["partition"], "partition"),
                                     time_from_json(sl["start_us"]),
-                                    time_from_json(sl["end_us"]), sl["job"]))
-    n_cores = (max(c["core"] for c in doc["cores"]) + 1) if doc["cores"] else 0
+                                    time_from_json(sl["end_us"]),
+                                    _whole(sl["job"], "job")))
+    n_cores = max(cores) + 1 if cores else 0
     util = [time_from_json(u) for u in doc.get("per_core_utilization", [])]
     while len(util) < n_cores:
         util.append(Fraction(0))
-    return NodeSchedule(doc["node"], n_cores, doc["major_frame_us"], tasks,
+    return NodeSchedule(node, n_cores,
+                        _whole(doc["major_frame_us"], "major_frame_us"), tasks,
                         tuple(partitions.values()), tuple(slices), tuple(util))

@@ -7,6 +7,7 @@ grid with plain nested interval checks; it shares no code with the solver.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,45 @@ def chain_scenario(rng: random.Random, max_streams: int = 3,
         links=links,
         streams=tuple(streams),
         params=ModelParams(d_hop_us=Fraction(d_hop)),
+    )
+
+
+LINE = ("A", "B", "C", "D")  # a duplex line of three link pairs
+
+
+def line_scenario(rng: random.Random, d_hop=2,
+                  max_streams: int = 4) -> Scenario:
+    """Random streams along a duplex switch line, half with tight deadlines.
+
+    At 100 Mbps a 64 B frame takes 5.2 us, so transmission times leave the
+    whole microsecond. A tight stream has the lowest criticality, so it is
+    placed after the others and finds few offsets left: the search then
+    backtracks, proves infeasibility or runs out of budget.
+    """
+    d_hop = Fraction(d_hop)
+    links = tuple(LinkSpec(a, b) for a, b in zip(LINE, LINE[1:])) + tuple(
+        LinkSpec(b, a) for a, b in zip(LINE, LINE[1:]))
+    streams = []
+    for i in range(rng.randint(2, max_streams)):
+        a, b = rng.sample(range(len(LINE)), 2)
+        step = 1 if b > a else -1
+        route = tuple(LINE[k] for k in range(a, b + step, step))
+        size = rng.choice((64, 200, 700, 1500))
+        period = rng.choice((200, 300, 400, 600))
+        bound = (transmission_time(size, links[0].rate_bps)
+                 + (len(route) - 1) * d_hop)
+        if rng.random() < 0.5:  # tight, and placed after the others
+            deadline = min(period, math.ceil(bound) + rng.randint(0, 40))
+            criticality = 0
+        else:
+            deadline, criticality = period, rng.randint(1, 4)
+        streams.append(StreamSpec(f"s{i}", route[0], route[-1], size, period,
+                                  criticality, route, deadline_us=deadline))
+    return Scenario(
+        switches=tuple(SwitchSpec(x) for x in LINE),
+        links=links,
+        streams=tuple(streams),
+        params=ModelParams(d_hop_us=d_hop),
     )
 
 

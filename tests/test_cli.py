@@ -250,3 +250,58 @@ def test_bad_input_exits_1_with_one_line(uc1_file, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def _admit_schedule(uc1_file, tmp_path, schedule_text):
+    dyn = tmp_path / "dynamic.json"
+    dyn.write_text(json.dumps(_ONE_TASK))
+    sched = tmp_path / "schedule.json"
+    sched.write_text(schedule_text)
+    out = tmp_path / "admit.json"
+    code = main(["admit", str(uc1_file), "--dynamic", str(dyn), "--node", "E4",
+                 "--core", "0", "--horizon", "30", "--schedule", str(sched),
+                 "-o", str(out)])
+    return code, out
+
+
+def _base_schedule_doc():
+    from fogweaver.fixtures import fixture_text
+
+    return json.loads(fixture_text("extensibility_base.json"))
+
+
+def _corrupt(**changes):
+    doc = _base_schedule_doc()
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("schedule_text", [
+    "{}",
+    "not json",
+    "[]",
+    _corrupt(cores=5),
+    _corrupt(major_frame_us="120000"),
+    _corrupt(tasks=[]),
+    _corrupt(cores=[{"core": -1}]),
+], ids=["empty", "not-json", "list", "cores-int", "frame-string",
+        "tasks-list", "core-negative"])
+def test_admit_rejects_malformed_schedule_file(uc1_file, tmp_path, capsys,
+                                               schedule_text):
+    code, out = _admit_schedule(uc1_file, tmp_path, schedule_text)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_admit_verifies_a_loaded_schedule(uc1_file, tmp_path, capsys):
+    doc = _base_schedule_doc()
+    missing = next(iter(doc["tasks"]))
+    del doc["tasks"][missing]
+    code, out = _admit_schedule(uc1_file, tmp_path, json.dumps(doc))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "verification failed: [reference] " + missing in err
+    assert not out.exists()

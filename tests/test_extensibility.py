@@ -171,8 +171,12 @@ def test_optimizer_reproduces_checked_in_fixture(base, optimized):
 
 
 def _reference_climb(starts, durations, windows, frame, budget):
-    """The climb re-scoring every candidate from scratch on Fractions."""
+    """The climb re-scoring every candidate from scratch on Fractions.
+
+    Also returns how many of its accepted moves went to the left edge.
+    """
     starts = list(starts)
+    left_moves = 0
     for _ in range(budget):
         intervals = [(s, s + d) for s, d in zip(starts, durations)]
         best_var, best_move = _gap_variance(intervals, frame)[1], None
@@ -194,14 +198,34 @@ def _reference_climb(starts, durations, windows, frame, budget):
                 intervals[idx] = (cand, cand + duration)
                 var = _gap_variance(intervals, frame)[1]
                 if var < best_var:
-                    best_var, best_move = var, (idx, cand)
+                    best_var, best_move = var, (idx, cand, cand == lo)
             intervals[idx] = (start, start + duration)
         if best_move is None:
             break
-        idx, cand = best_move
+        idx, cand, to_left_edge = best_move
         starts[idx] = cand
+        left_moves += to_left_edge
     intervals = [(s, s + d) for s, d in zip(starts, durations)]
-    return starts, _gap_variance(intervals, frame)[1]
+    return starts, _gap_variance(intervals, frame)[1], left_moves
+
+
+def _slid_late(ns, rng):
+    """``ns`` with slices slid later by random grid steps inside their
+    windows, leaving small idle gaps that only a left-edge move closes."""
+    slices = []
+    for core in range(ns.cores):
+        next_start = Fraction(ns.major_frame_us)
+        for sl in reversed(ns.core_slices(core)):
+            task = ns.tasks[sl.task]
+            deadline = sl.job_index * task.period_us + task.deadline_us
+            steps = int((min(next_start, deadline) - sl.end_us) / GRID_US)
+            shift = GRID_US * rng.choice([0, rng.randint(0, min(steps, 30))])
+            slices.append(replace(sl, start_us=sl.start_us + shift,
+                                  end_us=sl.end_us + shift))
+            next_start = slices[-1].start_us
+    slid = rebuild_partitions(replace(ns, slices=tuple(slices)))
+    assert verify_node_schedule(slid).ok
+    return slid
 
 
 def _oracle_nodes():
@@ -209,13 +233,15 @@ def _oracle_nodes():
     # EDF packs slices back to back, so many gaps are zero
     yield _schedule([_app("a", 1, 3, 10_000, "0.35"),
                      _app("b", 2, 1, 5_000, "0.2")])
-    rng = random.Random(5)
+    rng, slide_rng = random.Random(5), random.Random(6)
     for _ in range(8):
         apps = random_apps(rng, "N", max_apps=3, max_tasks=3,
                            total_util_limit=0.8)
         node = FogNodeSpec("N", cores=2)
         mapping = {t.id: i % 2 for i, t in enumerate(node_tasks(apps))}
-        yield synthesize_node_schedule(node, apps, mapping)
+        ns = synthesize_node_schedule(node, apps, mapping)
+        yield ns
+        yield _slid_late(ns, slide_rng)
 
 
 def test_climb_matches_fraction_reference(monkeypatch):
@@ -224,20 +250,23 @@ def test_climb_matches_fraction_reference(monkeypatch):
     # (the climb works on ticks of 1/scale us; the reference on us)
     fast_climb = extensibility._climb
     climbs = []
+    left_moves = 0
 
     def checked_climb(starts, durations, windows, frame, grid, budget):
+        nonlocal left_moves
         out, var = fast_climb(starts, durations, windows, frame, grid, budget)
         scale = grid * GRID_US.denominator
 
         def us(ticks):
             return [Fraction(t, scale) for t in ticks]
 
-        ref, ref_var = _reference_climb(
+        ref, ref_var, ref_left_moves = _reference_climb(
             us(starts), us(durations), [tuple(us(w)) for w in windows],
             Fraction(frame, scale), budget)
         assert us(out) == ref
         assert var / scale ** 2 == ref_var
         climbs.append(starts)
+        left_moves += ref_left_moves
         return out, var
 
     monkeypatch.setattr(extensibility, "_climb", checked_climb)
@@ -246,6 +275,7 @@ def test_climb_matches_fraction_reference(monkeypatch):
         optimize_extensibility(ns)
         cores += sum(bool(ns.core_slices(c)) for c in range(ns.cores))
     assert len(climbs) > cores  # some cores also climbed from the even spread
+    assert left_moves  # and some climbs closed a gap by a left-edge move
 
 
 # -- dynamic admission -----------------------------------------------------------

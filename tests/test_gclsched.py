@@ -1,10 +1,13 @@
+import contextlib
 import random
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from genutil import brute_force_feasible, chain_scenario
+from gcl_reference import reference_search
+from genutil import brute_force_feasible, chain_scenario, line_scenario
 from fogweaver.errors import InfeasibleError, StreamNotScheduledError
 from fogweaver.gclsched import (
     NetSchedule,
@@ -98,6 +101,8 @@ def test_overloaded_link_reports_infeasible():
     with pytest.raises(InfeasibleError) as exc:
         synthesize_gcl(_one_link_scenario(streams))
     assert exc.value.unplaced
+    assert str(exc.value) == "no feasible offset assignment"
+    assert not exc.value.gave_up  # a proof, not a give-up
 
 
 def _backtracking_instance():
@@ -124,7 +129,8 @@ def test_backtracking_revisits_earlier_placements():
 def test_node_budget_bounds_the_search():
     with pytest.raises(InfeasibleError) as exc:
         synthesize_gcl(_backtracking_instance(), node_budget=10)
-    assert "budget" in str(exc.value)
+    assert str(exc.value) == "search budget of 10 placements exhausted"
+    assert exc.value.gave_up
 
 
 def test_impossible_deadline_is_infeasible():
@@ -288,6 +294,64 @@ def test_solver_succeeds_whenever_brute_force_does():
             ns = synthesize_gcl(s)  # must not raise
             assert verify_net_schedule(ns, s).ok
     assert feasible_seen >= 20  # the generator must actually exercise the claim
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail instead of hanging when a search stops advancing its offset."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def stop(signum, frame):
+        raise TimeoutError(f"search still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _tick_outcome(s, budget):
+    try:
+        ns = synthesize_gcl(s, budget)
+    except InfeasibleError as exc:
+        return ("infeasible", str(exc), exc.unplaced)
+    return ("schedule", ns.offsets, ns.windows)
+
+
+def _reference_outcome(s, budget):
+    """Like ``_tick_outcome``, plus how often the reference backtracked."""
+    try:
+        offsets, windows, backtracks = reference_search(s, budget)
+    except InfeasibleError as exc:
+        return ("infeasible", str(exc), exc.unplaced), 0
+    return ("schedule", offsets, windows), backtracks
+
+
+def test_tick_search_matches_fraction_reference():
+    # d_hop = 1/3 us puts window shifts off the 0.1 us grid, so rounding a
+    # forbidden interval's end to the grid matters; 0.3 us keeps them on it
+    rng = random.Random(11)
+    seen = {"backtracked": 0, "gave up": 0, "proved infeasible": 0}
+    for d_hop in (0, 2, Fraction(3, 10), Fraction(1, 3)):
+        for n in range(30):
+            s = (line_scenario(rng, d_hop) if n % 3 else
+                 chain_scenario(rng, max_streams=4, d_hop=d_hop))
+            budget = 10 if n % 5 == 0 else 400
+            expected, backtracks = _reference_outcome(s, budget)
+            with _time_limit(10):
+                assert _tick_outcome(s, budget) == expected
+            if expected[0] == "schedule":
+                seen["backtracked"] += backtracks > 0
+            elif "budget" in expected[1]:
+                seen["gave up"] += 1
+            else:
+                seen["proved infeasible"] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 def test_gcl_export_schema(uc1_net):
