@@ -8,7 +8,6 @@ criticality level per core, giving temporal isolation between levels.
 """
 
 from fogweaver import (
-    assign_partitions,
     emit_gantt,
     map_to_cores,
     parse_scenario,
@@ -22,9 +21,9 @@ s = parse_scenario(uc1_text())
 schedules = []
 for node in s.nodes:
     apps = list(s.apps_on(node.id))
-    levels = [p.criticality for p in assign_partitions(apps)]
     mapping = map_to_cores(apps, node.cores)
     ns = synthesize_node_schedule(node, apps, mapping)
+    levels = sorted({p.criticality for p in ns.partitions}, reverse=True)
     schedules.append(ns)
     report = verify_node_schedule(ns)
     print(f"{node.id}: frame {ns.major_frame_us // 1000} ms, "

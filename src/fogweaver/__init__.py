@@ -49,7 +49,6 @@ from .nodesched import (
     Partition,
     TaskSlice,
     UtilizationReport,
-    assign_partitions,
     map_to_cores,
     node_schedule_from_json,
     node_schedule_to_json,

@@ -17,9 +17,10 @@ writes went through its verifier once. ``--gantt`` writes a chart plus the
 JSON table of each schedule, the file set the pipeline writes; ``tesla``
 prints the block the pipeline report holds under ``"tesla"``.
 
-Exit codes: 0 success, 1 validation failure, 2 infeasible or a schedule
-that failed verification, 3 I/O error. ``main`` returns the code on every
-path; nothing exits the process from inside a subcommand.
+Exit codes: 0 success, 1 validation failure, 2 infeasible (printed as
+``gave up:`` when a search stopped on its budget instead of proving it) or
+a schedule that failed verification, 3 I/O error. ``main`` returns the code
+on every path; nothing exits the process from inside a subcommand.
 """
 
 from __future__ import annotations
@@ -63,20 +64,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, gantt=True):
+    def add_common(p, gantt=True, output=True):
         p.add_argument("scenario", help="scenario description file")
-        p.add_argument("-o", "--output", metavar="PATH",
-                       help="write the JSON result here")
+        if output:
+            p.add_argument("-o", "--output", metavar="PATH",
+                           help="write the JSON result here")
         p.add_argument("--d-hop", type=float, metavar="US",
                        help="override the per-hop forwarding latency")
-        p.add_argument("--seed", type=int, help="override the solver seed")
         if gantt:
             p.add_argument("--gantt", metavar="DIR",
                            help="write Gantt charts into this directory")
             p.add_argument("--format", choices=("svg", "ascii"), default="svg",
                            help="chart format (default svg)")
 
-    add_common(sub.add_parser("validate", help="check a scenario"), gantt=False)
+    add_common(sub.add_parser("validate", help="check a scenario"),
+               gantt=False, output=False)
     add_common(sub.add_parser("net-schedule", help="synthesize the GCLs"))
     p = sub.add_parser("node-schedule", help="synthesize node schedules")
     add_common(p)
@@ -150,7 +152,7 @@ def _d_hop(args) -> Fraction | None:
 
 def _validated(args) -> Scenario:
     text = pathlib.Path(args.scenario).read_text(encoding="utf-8")
-    s = load_scenario(text, _d_hop(args), args.seed)
+    s = load_scenario(text, _d_hop(args))
     _require(validate(s), EXIT_VALIDATION)
     return s
 
@@ -265,7 +267,6 @@ def cmd_pipeline(args) -> int:
     code, report = run_pipeline(
         args.scenario,
         d_hop_us=_d_hop(args),
-        seed=args.seed,
         out=args.output,
         gantt_dir=args.gantt,
         gantt_format=args.format,
@@ -296,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Stop as stop:
         return stop.code
     except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        print(f"{'gave up' if exc.gave_up else 'infeasible'}: {exc}", file=sys.stderr)
         if exc.unplaced:
             print(f"unplaced: {', '.join(exc.unplaced)}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -13,9 +13,11 @@ property blocks::
     app "<name>" on <id> { level <0..4> tasks <n> period <n>ms util <fraction>
                            [task <name> wcet <n>us period <n>ms
                             [deadline <n>ms|us]]... }
-    params { d_hop <n>us weight_base <n> seed <n> [link_rate <n>Mbps] }
+    params { [d_hop <n>us] [link_rate <n>Mbps] }
 
 Whitespace and newlines are interchangeable, so blocks may span lines.
+``params`` also accepts ``weight_base <n>`` and ``seed <n>``, which older
+files carry, and ignores them: no solver reads either.
 Syntax errors carry line/column; duplicate declarations and dangling
 references are rejected after the whole document has been read.
 """
@@ -379,10 +381,10 @@ class _Parser:
             key = key_tok.text
             if key == "d_hop":
                 self.params["d_hop"] = self.time_us_frac("d_hop")
-            elif key == "weight_base":
-                self.params["weight_base"] = self.fraction("weight_base")
-            elif key == "seed":
-                self.params["seed"] = Fraction(self.integer("seed"))
+            elif key == "weight_base":  # accepted from older files, unused
+                self.fraction("weight_base")
+            elif key == "seed":  # accepted from older files, unused
+                self.integer("seed")
             elif key == "link_rate":
                 self.params["link_rate"] = Fraction(self.rate_bps("default link rate"))
             else:
@@ -408,8 +410,6 @@ class _Parser:
         params = ModelParams(
             d_hop_us=self.params.get("d_hop", Fraction(2)),
             default_link_rate_bps=int(self.params.get("link_rate", 100_000_000)),
-            solver_seed=int(self.params.get("seed", 0)),
-            weight_base=self.params.get("weight_base", Fraction(2)),
         )
 
         links: list[LinkSpec] = []

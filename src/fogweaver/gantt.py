@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .gclsched import NetSchedule
 from .nodesched import NodeSchedule
-from .units import time_to_number
 
 _PALETTE = [
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2",
@@ -23,8 +22,8 @@ _PALETTE = [
 
 
 def _fmt(t) -> str:
-    n = time_to_number(t)
-    return f"{n:g}" if isinstance(n, float) else str(n)
+    f = Fraction(t)
+    return str(f.numerator) if f.denominator == 1 else f"{float(f):g}"
 
 
 def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"

@@ -243,8 +243,9 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
 
     Independent of the solver: works only from the windows, the offsets and
     the scenario. Checks per-link non-overlap, route precedence spacing,
-    window length, period containment, deadline satisfaction, zero jitter
-    and completeness (every instance of every stream present).
+    window length, period containment, deadline satisfaction, zero jitter,
+    completeness (every instance of every stream present) and that no
+    window lies beyond the stream's instances or off its route.
     """
     rb = ReportBuilder()
 
@@ -279,6 +280,12 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
         by_key = {(w.instance, w.link): w for w in wins}
         if len(by_key) != len(wins):
             rb.add("missing", st.id, "duplicate window for one (instance, link)")
+        for k, link_id in by_key:
+            if not (0 <= k < instances and link_id in link_order):
+                rb.add("containment", st.id,
+                       f"window of instance {k} on {link_id} is not one of "
+                       f"the {instances} instances on the route")
+        arrivals = []  # the delay of each instance
         for k in range(instances):
             delays = []
             for j, link_id in enumerate(link_order):
@@ -304,16 +311,16 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
                            f"instance {k} window [{w.open_us}, {w.close_us}) leaves "
                            f"the cycle [0, {ns.cycle_us})")
                 delays.append(w.close_us + ns.d_hop_us - k * T)
-            if delays and max(delays) > st.deadline_us:
-                rb.add("deadline", st.id,
-                       f"instance {k} arrives {max(delays)} us after release, "
-                       f"deadline is {st.deadline_us} us")
-        try:
-            timing = stream_metrics(ns, st)
-        except StreamNotScheduledError:
-            timing = None
-        if timing is not None and timing.jitter_us != 0:
-            rb.add("jitter", st.id, f"jitter {timing.jitter_us} us, expected 0")
+            if delays:
+                arrivals.append(max(delays))
+                if max(delays) > st.deadline_us:
+                    rb.add("deadline", st.id,
+                           f"instance {k} arrives {max(delays)} us after "
+                           f"release, deadline is {st.deadline_us} us")
+        if arrivals and max(arrivals) != min(arrivals):
+            rb.add("jitter", st.id, f"jitter {max(arrivals) - min(arrivals)} us, expected 0")
+    for sid in sorted(per_stream.keys() - {st.id for st in s.streams}):
+        rb.add("containment", sid, "windows of a stream the scenario does not declare")
     return rb.build()
 
 
@@ -326,7 +333,7 @@ def qoc_proxy(ns: NetSchedule, s: Scenario) -> Fraction:
         return Fraction(0)
     total = Fraction(0)
     for st in control:
-        timing = ns.per_stream.get(st.id) or stream_metrics(ns, st)
+        timing = ns.per_stream[st.id]
         total += timing.ed_us / st.period_us + timing.jitter_us / st.period_us
     return total / len(control)
 

@@ -2,11 +2,12 @@
 
 Each fog node hosts applications of several criticality levels on a small
 number of cores. Tasks are bin-packed onto cores (first-fit decreasing by
-utilization, no migration), each core is scheduled with preemptive EDF over
-the node's major frame, and maximal contiguous runs of same-criticality
-execution are wrapped into partition windows, yielding one partition per
-criticality level per core. The verifier re-derives every property of a
-finished schedule from the slices alone.
+utilization under a processor-demand test, no migration), each core is
+scheduled with preemptive EDF over the node's major frame, and maximal
+contiguous runs of same-criticality execution are wrapped into partition
+windows, yielding one partition per criticality level per core. The
+verifier re-derives every property of a finished schedule from the slices
+alone.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Partition:
     id: str
     node: str
     criticality: int
-    core: int | None = None
-    windows: tuple[tuple[Fraction, Fraction], ...] = ()
+    core: int
+    windows: tuple[tuple[Fraction, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,29 @@ def node_tasks(apps: list[ApplicationSpec]) -> list[NodeTask]:
     return out
 
 
-def assign_partitions(apps: list[ApplicationSpec]) -> list[Partition]:
-    """One partition per distinct criticality level present on the node.
-
-    Cores and windows are assigned later by the schedule synthesis; the
-    returned partitions carry only identity and level.
+def _demand_fits(tasks: list[NodeTask]) -> bool:
+    """Whether one EDF core of utilization <= 1 meets every deadline: at
+    each absolute deadline t up to the hyperperiod, at most t of work may
+    be due (Baruah, Rosier & Howell 1990). Implicit deadlines always pass.
     """
-    if not apps:
-        return []
-    node = apps[0].node
-    levels = sorted({a.level for a in apps}, reverse=True)
-    return [Partition(f"{node}.L{lvl}", node, lvl) for lvl in levels]
+    if all(t.deadline_us == t.period_us for t in tasks):
+        return True
+    horizon = hyperperiod([t.period_us for t in tasks])
+    due = sorted((release + t.deadline_us, t.wcet_us) for t in tasks
+                 for release in range(0, horizon, t.period_us))
+    demand = Fraction(0)
+    for deadline, wcet in due:
+        demand += wcet
+        if demand > deadline:
+            return False
+    return True
 
 
 def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
     """First-fit-decreasing bin packing of tasks onto cores by utilization.
 
+    A core takes a task when its utilization stays at most 1 and its tasks
+    pass the processor-demand test, so every core EDF-schedules its tasks.
     Tasks never migrate. Raises :class:`InfeasibleError` naming the tasks
     that do not fit when the packing fails.
     """
@@ -112,12 +120,15 @@ def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
         raise ValueError(f"need at least one core, got {cores}")
     tasks = sorted(node_tasks(apps), key=lambda t: (-t.utilization, t.id))
     load = [Fraction(0)] * cores
+    on_core: list[list[NodeTask]] = [[] for _ in range(cores)]
     mapping: dict[str, int] = {}
     unplaced: list[str] = []
     for t in tasks:
         for core in range(cores):
-            if load[core] + t.utilization <= 1:
+            if (load[core] + t.utilization <= 1
+                    and _demand_fits(on_core[core] + [t])):
                 load[core] += t.utilization
+                on_core[core].append(t)
                 mapping[t.id] = core
                 break
         else:

@@ -9,8 +9,9 @@ exactly once and hand its ``Report`` back; the caller decides whether to
 go on.
 
 Reports are plain dicts of JSON-compatible values, assembled in a fixed
-order with no timestamps, so two runs over the same inputs and seed produce
-byte-identical files.
+order with no timestamps, so two runs over the same inputs produce
+byte-identical files. Times and utilizations follow the rule of every
+export, :func:`~fogweaver.units.time_to_json`: exact, never rounded.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .nodesched import (
 from .reporting import Report
 from .scenario import Scenario, validate, with_params
 from .teslasec import TeslaConfig, apply_tesla, secured_delay, tesla_overhead_report
-from .units import time_to_number
+from .units import time_to_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,23 +53,15 @@ EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
 
-def _num(t) -> int | float:
-    return time_to_number(Fraction(t))
-
-
 def _verdict(verification: Report) -> str | list[str]:
     return "clean" if verification.ok else [str(v) for v in verification]
 
 
-def load_scenario(text: str, d_hop_us=None, seed: int | None = None
-                  ) -> Scenario:
-    """Parse scenario text, then apply the per-hop latency and solver seed
-    overrides that are not None."""
+def load_scenario(text: str, d_hop_us=None) -> Scenario:
+    """Parse scenario text, then apply the per-hop latency override if any."""
     s = parse_scenario(text)
     if d_hop_us is not None:
         s = with_params(s, d_hop_us=Fraction(d_hop_us))
-    if seed is not None:
-        s = with_params(s, solver_seed=seed)
     return s
 
 
@@ -79,11 +72,11 @@ def net_summary(ns: NetSchedule, s: Scenario, verification: Report) -> dict:
         route = resolve_route(s, st)
         rows.append({
             "id": st.id,
-            "offset_us": _num(ns.offsets[st.id]),
-            "ed_us": _num(timing.ed_us),
-            "jitter_us": _num(timing.jitter_us),
+            "offset_us": time_to_json(ns.offsets[st.id]),
+            "ed_us": time_to_json(timing.ed_us),
+            "jitter_us": time_to_json(timing.jitter_us),
             "deadline_us": st.deadline_us,
-            "lower_bound_us": _num(lower_bound_delay(st, route, s.params)),
+            "lower_bound_us": time_to_json(lower_bound_delay(st, route, s.params)),
         })
     return {
         "cycle_us": ns.cycle_us,
@@ -97,7 +90,7 @@ def node_summary(ns: NodeSchedule, verification: Report) -> dict:
     return {
         "node": ns.node,
         "major_frame_us": ns.major_frame_us,
-        "per_core_utilization": [_num(u) for u in ns.per_core_utilization],
+        "per_core_utilization": [time_to_json(u) for u in ns.per_core_utilization],
         "partitions": len(ns.partitions),
         "slices": len(ns.slices),
         "verification": _verdict(verification),
@@ -166,7 +159,6 @@ def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig) -> dict:
             "key_bytes": cfg.key_bytes,
             "key_interval_us": cfg.key_interval_us,
             "disclosure_delay": cfg.disclosure_delay,
-            "grow_frames": cfg.grow_frames,
         },
         "security_tasks": len(overlay.tasks),
         **tesla_overhead_report(before, after).to_json(),
@@ -194,8 +186,7 @@ def write_gantt(directory: str | pathlib.Path, gantt_format: str,
 
 
 def run_pipeline(scenario_path: str | pathlib.Path, *,
-                 d_hop_us=None, seed: int | None = None,
-                 out: str | pathlib.Path | None = None,
+                 d_hop_us=None, out: str | pathlib.Path | None = None,
                  gantt_dir: str | pathlib.Path | None = None,
                  gantt_format: str = "svg",
                  ) -> tuple[int, dict]:
@@ -213,7 +204,6 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
     text = pathlib.Path(scenario_path).read_text(encoding="utf-8")
     report = {
         "version": __version__,
-        "seed": seed,
         "scenario": {
             "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "nodes": 0,
@@ -236,11 +226,10 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
         return code, report
 
     try:
-        s = load_scenario(text, d_hop_us, seed)
+        s = load_scenario(text, d_hop_us)
     except FogweaverError as exc:
         report["validation"] = [str(exc)]
         return finish(EXIT_VALIDATION)
-    report["seed"] = s.params.solver_seed
     report["scenario"].update(nodes=len(s.nodes), streams=len(s.streams),
                               applications=len(s.applications))
     validation = validate(s)
@@ -262,8 +251,8 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
             return finish(EXIT_INFEASIBLE, ns)
         util = utilization_report(schedules)
         report["utilization"] = {
-            "average": _num(util.average),
-            "max": _num(util.max_value),
+            "average": time_to_json(util.average),
+            "max": time_to_json(util.max_value),
             "max_node": util.max_node,
             "max_core": util.max_core,
         }
@@ -271,7 +260,8 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
         stage = "tesla"
         report["tesla"] = tesla_stage(s, ns, TeslaConfig())
     except InfeasibleError as exc:
-        marker = {"infeasible": str(exc), "unplaced": list(exc.unplaced)}
+        marker = {"infeasible": str(exc), "unplaced": list(exc.unplaced),
+                  "gave_up": exc.gave_up}
         report[stage] = [marker] if stage == "nodes" else marker
         return finish(EXIT_INFEASIBLE, ns, schedules)
     return finish(EXIT_OK, ns, schedules)

@@ -126,18 +126,14 @@ class ModelParams:
     """Tunable model constants.
 
     ``d_hop_us`` is the per-hop forwarding latency of the cut-through
-    delay model. ``weight_base`` is part of the scenario format (parsed
-    and printed with the other parameters); no solver reads it.
+    delay model.
     """
 
     d_hop_us: Fraction = Fraction(2)
     default_link_rate_bps: int = DEFAULT_LINK_RATE_BPS
-    solver_seed: int = 0
-    weight_base: Fraction = Fraction(2)
 
     def __post_init__(self):
         object.__setattr__(self, "d_hop_us", Fraction(self.d_hop_us))
-        object.__setattr__(self, "weight_base", Fraction(self.weight_base))
 
 
 @dataclass(frozen=True)
@@ -248,6 +244,7 @@ def validate(s: Scenario) -> Report:
 
     for app in s.applications:
         _check_application(app, node_ids, rb)
+    _check_task_ids(s, rb)
 
     if s.params.d_hop_us < 0:
         rb.add("params", "d_hop", f"d_hop must be >= 0, got {s.params.d_hop_us}")
@@ -269,6 +266,19 @@ def _check_identifiers(s: Scenario, rb: ReportBuilder) -> None:
         dupes = {i for i in ids if ids.count(i) > 1}
         for d in sorted(dupes):
             rb.add("duplicate-id", d, f"{label} declared more than once")
+
+
+def _check_task_ids(s: Scenario, rb: ReportBuilder) -> None:
+    # a node schedule maps each task id to one core, so the tasks on one
+    # node need distinct ids
+    owners: dict[tuple[str, str], list[str]] = {}
+    for app in s.applications:
+        for task in expand_tasks(app) if app.tasks or app.task_count else ():
+            owners.setdefault((app.node, task.id), []).append(app.id)
+    for (node, task_id), apps in owners.items():
+        if len(apps) > 1:
+            rb.add("duplicate-id", task_id, f"task declared {len(apps)} times "
+                   f"on node {node} (applications {', '.join(apps)})")
 
 
 def _check_stream(s: Scenario, st: StreamSpec, entities: set[str],
@@ -361,8 +371,7 @@ def scenario_to_text(s: Scenario) -> str:
     p = s.params
     out.append(
         f"params {{ d_hop {fraction_to_decimal(p.d_hop_us)}us "
-        f"link_rate {fraction_to_decimal(Fraction(p.default_link_rate_bps, 10**6))}Mbps "
-        f"weight_base {fraction_to_decimal(p.weight_base)} seed {p.solver_seed} }}"
+        f"link_rate {fraction_to_decimal(Fraction(p.default_link_rate_bps, 10**6))}Mbps }}"
     )
     for st in s.streams:
         parts = [f'stream "{st.id}" {{ src {st.src} dst {st.dst}',

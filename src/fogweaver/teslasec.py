@@ -37,7 +37,6 @@ class TeslaConfig:
     disclosure_delay: int = 1     # key intervals until the key is published
     sign_wcet_us: Fraction = Fraction(50)
     verify_wcet_us: Fraction = Fraction(50)
-    grow_frames: bool = True
 
     def __post_init__(self):
         if self.key_interval_us <= 0:
@@ -86,10 +85,9 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
     """Attach the authentication overlay to the scheduled streams.
 
     Returns the overlay plus a scenario variant ready for re-synthesis:
-    frames grown by the MAC + key bytes (when ``grow_frames``) and one
-    single-task security application per security task hosted on a fog
-    node. Sensor-hosted sign tasks are recorded in the overlay but consume
-    no fog-node capacity. Raises :class:`TaskPlacementInfeasibleError` when
+    frames grown by the MAC + key bytes and one single-task security
+    application per security task hosted on a fog node. Sensor-hosted sign
+    tasks are recorded in the overlay but consume no fog-node capacity. Raises :class:`TaskPlacementInfeasibleError` when
     a node cannot absorb its new security tasks.
     """
     node_ids = {n.id for n in s.nodes}
@@ -97,10 +95,10 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
     new_streams: list[StreamSpec] = []
     new_apps: list[ApplicationSpec] = []
 
+    growth = cfg.mac_bytes + cfg.key_bytes
     for st in s.streams:
         if st.id not in ns.offsets:
             raise MismatchedStreamsError(f"stream {st.id!r} is not scheduled")
-        growth = cfg.mac_bytes + cfg.key_bytes if cfg.grow_frames else 0
         sign = SecurityTask(f"sec:{st.id}:sign", st.id, "sign", st.src,
                             st.src in node_ids, cfg.sign_wcet_us,
                             st.period_us, st.criticality)

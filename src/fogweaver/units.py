@@ -19,27 +19,9 @@ GRID_US = Fraction(1, 10)
 Time = Fraction | int
 
 
-def ceil_to_grid(t: Time) -> Fraction:
-    """Round ``t`` up to the 0.1 us grid."""
-    return Fraction(math.ceil(Fraction(t) / GRID_US)) * GRID_US
-
-
-def floor_to_grid(t: Time) -> Fraction:
-    """Round ``t`` down to the 0.1 us grid."""
-    return Fraction(math.floor(Fraction(t) / GRID_US)) * GRID_US
-
-
 def lcm_all(values) -> int:
     """Least common multiple of positive integers."""
     return math.lcm(*values)
-
-
-def time_to_number(t: Time):
-    """Exact int when integral, else float, for JSON output."""
-    f = Fraction(t)
-    if f.denominator == 1:
-        return int(f)
-    return float(f)
 
 
 def time_to_json(t: Time):

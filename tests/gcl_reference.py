@@ -16,7 +16,12 @@ from fogweaver.errors import InfeasibleError
 from fogweaver.gclsched import DEFAULT_NODE_BUDGET, FrameWindow
 from fogweaver.netmodel import resolve_route, transmission_time
 from fogweaver.scenario import hyperperiod
-from fogweaver.units import GRID_US, ceil_to_grid
+from fogweaver.units import GRID_US
+
+
+def ceil_to_grid(t) -> Fraction:
+    """Round ``t`` up to the 0.1 us grid."""
+    return Fraction(math.ceil(Fraction(t) / GRID_US)) * GRID_US
 
 
 def _priority_key(st):

@@ -4,6 +4,7 @@ import pytest
 
 from fogweaver import pipeline
 from fogweaver.cli import main
+from fogweaver.errors import InfeasibleError
 from fogweaver.fixtures import uc1_text
 from fogweaver.pipeline import run_pipeline
 from fogweaver.reporting import Report, Violation
@@ -61,27 +62,63 @@ def test_pipeline_end_to_end(uc1_file, tmp_path):
 
 def test_pipeline_reports_are_byte_identical(uc1_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["pipeline", str(uc1_file), "-o", str(a), "--seed", "42"]) == 0
-    assert main(["pipeline", str(uc1_file), "-o", str(b), "--seed", "42"]) == 0
+    assert main(["pipeline", str(uc1_file), "-o", str(a)]) == 0
+    assert main(["pipeline", str(uc1_file), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_pipeline_infeasible_exits_2(tmp_path):
-    text = """
-    switch A
-    switch B
-    link A -> B
-    stream "s1" { src A dst B size 1500B period 200us criticality 3 route A,B }
-    stream "s2" { src A dst B size 1500B period 200us criticality 3 route A,B }
-    """
+_OVERLOADED = """
+switch A
+switch B
+link A -> B
+stream "s1" { src A dst B size 1500B period 200us criticality 3 route A,B }
+stream "s2" { src A dst B size 1500B period 200us criticality 3 route A,B }
+"""
+
+
+def test_pipeline_infeasible_exits_2(tmp_path, capsys):
     path = tmp_path / "overloaded.fog"
-    path.write_text(text)
+    path.write_text(_OVERLOADED)
     out = tmp_path / "report.json"
     code = main(["pipeline", str(path), "-o", str(out)])
     assert code == 2
     report = json.loads(out.read_text())
-    assert "infeasible" in report["net"]
-    assert report["net"]["unplaced"]
+    assert report["net"] == {"infeasible": "no feasible offset assignment",
+                             "unplaced": ["s2"], "gave_up": False}
+    assert main(["net-schedule", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "infeasible: no feasible offset assignment\n")
+
+
+def test_pipeline_marks_a_give_up(uc1_file, tmp_path, monkeypatch, capsys):
+    def give_up(s):
+        raise InfeasibleError("search budget of 3 placements exhausted",
+                              unplaced=["S1 data"], gave_up=True)
+
+    monkeypatch.setattr(pipeline, "synthesize_gcl", give_up)
+    out = tmp_path / "report.json"
+    assert main(["pipeline", str(uc1_file), "-o", str(out)]) == 2
+    assert json.loads(out.read_text())["net"] == {
+        "infeasible": "search budget of 3 placements exhausted",
+        "unplaced": ["S1 data"], "gave_up": True}
+    assert main(["net-schedule", str(uc1_file)]) == 2
+    assert capsys.readouterr().err == (
+        "gave up: search budget of 3 placements exhausted\n"
+        "unplaced: S1 data\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "UC1", "--seed", "1"],
+    ["net-schedule", "UC1", "--seed", "1"],
+    ["validate", "UC1", "-o", "out.json"],
+    ["validate", "UC1", "--output", "out.json"],
+])
+def test_removed_options_are_rejected(uc1_file, capsys, argv):
+    argv = [str(uc1_file) if a == "UC1" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_net_schedule_subcommand(uc1_file, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,17 @@ from fogweaver.nodesched import (
     verify_node_schedule,
 )
 from fogweaver.scenario import ApplicationSpec, FogNodeSpec, TaskSpec
-from fogweaver.units import GRID_US, ceil_to_grid, floor_to_grid
+from fogweaver.units import GRID_US
+
+
+def floor_to_grid(t) -> Fraction:
+    """Round ``t`` down to the 0.1 us grid."""
+    return Fraction(math.floor(Fraction(t) / GRID_US)) * GRID_US
+
+
+def ceil_to_grid(t) -> Fraction:
+    """Round ``t`` up to the 0.1 us grid."""
+    return Fraction(math.ceil(Fraction(t) / GRID_US)) * GRID_US
 
 
 def _app(name, level, tasks, period_us, util):

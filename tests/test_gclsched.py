@@ -275,6 +275,38 @@ def test_verifier_flags_jitter(uc1, uc1_net):
     assert "jitter" in kinds
 
 
+def _stray_windows(ns, stream_id, instance, **changes):
+    return tuple(replace(w, **changes) for w in ns.windows
+                 if w.stream == stream_id and w.instance == instance)
+
+
+def test_verifier_flags_window_beyond_the_instances(uc1, uc1_net):
+    # instance 29 of S1 data copied one period later, as an instance 30 the
+    # 300 ms cycle does not have; its delay equals every other instance's
+    stray = tuple(replace(w, instance=30, open_us=w.open_us + 10_000,
+                          close_us=w.close_us + 10_000)
+                  for w in _stray_windows(uc1_net, "S1 data", 29))
+    mutant = replace(uc1_net, windows=uc1_net.windows + stray)
+    report = verify_net_schedule(mutant, uc1)
+    assert report.kinds() == {"containment"}
+    assert {v.subject for v in report} == {"S1 data"}
+
+
+def test_verifier_flags_window_off_the_route(uc1, uc1_net):
+    # S1 data runs S1->W1->E1; the stray copy sits on S2's first link
+    stray = _stray_windows(uc1_net, "S1 data", 0, link="S2->W1")[:1]
+    mutant = replace(uc1_net, windows=uc1_net.windows + stray)
+    report = verify_net_schedule(mutant, uc1)
+    assert "S1 data" in {v.subject for v in report.of_kind("containment")}
+
+
+def test_verifier_flags_windows_of_an_undeclared_stream(uc1, uc1_net):
+    stray = _stray_windows(uc1_net, "S1 data", 0, stream="ghost")
+    mutant = replace(uc1_net, windows=uc1_net.windows + stray)
+    report = verify_net_schedule(mutant, uc1)
+    assert [v.subject for v in report.of_kind("containment")] == ["ghost"]
+
+
 def test_verifier_flags_missing_stream(uc1, uc1_net):
     windows = tuple(w for w in uc1_net.windows if w.stream != "m2 set")
     mutant = replace(uc1_net, windows=windows)

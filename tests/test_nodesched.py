@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,6 @@ import pytest
 from genutil import random_apps
 from fogweaver.errors import InfeasibleError
 from fogweaver.nodesched import (
-    assign_partitions,
     map_to_cores,
     node_schedule_from_json,
     node_schedule_to_json,
@@ -26,21 +26,28 @@ def _app(name, node, level, tasks, period_us, util):
 # -- partitions ---------------------------------------------------------------
 
 
+def _single_core_partitions(apps):
+    node = FogNodeSpec("N", cores=1)
+    mapping = {t.id: 0 for t in node_tasks(apps)}
+    return synthesize_node_schedule(node, apps, mapping).partitions
+
+
 def test_one_partition_per_level():
     apps = [_app("a", "N", 3, 1, 10_000, "0.1"),
             _app("b", "N", 2, 1, 10_000, "0.1"),
             _app("c", "N", 1, 1, 10_000, "0.1")]
-    assert len(assign_partitions(apps)) == 3
+    parts = _single_core_partitions(apps)
+    assert sorted(p.criticality for p in parts) == [1, 2, 3]
 
 
 def test_single_level_single_partition():
     apps = [_app(f"a{i}", "N", 3, 1, 10_000, "0.1") for i in range(4)]
-    parts = assign_partitions(apps)
+    parts = _single_core_partitions(apps)
     assert len(parts) == 1 and parts[0].criticality == 3
 
 
 def test_no_apps_no_partitions():
-    assert assign_partitions([]) == []
+    assert _single_core_partitions([]) == ()
 
 
 # -- core mapping -------------------------------------------------------------
@@ -68,6 +75,78 @@ def test_map_overload_is_infeasible():
     with pytest.raises(InfeasibleError) as exc:
         map_to_cores(apps, 2)
     assert exc.value.unplaced
+
+
+def _task_app(task_id, wcet_us, period_us, deadline_us, level=1):
+    return ApplicationSpec(task_id, "N", level, 1, period_us,
+                           Fraction(wcet_us) / period_us,
+                           (TaskSpec(task_id, wcet_us, period_us, deadline_us),))
+
+
+def _synthesizes(apps, cores, mapping):
+    try:
+        ns = synthesize_node_schedule(FogNodeSpec("N", cores=cores), apps,
+                                      mapping)
+    except InfeasibleError:
+        return False
+    assert verify_node_schedule(ns).ok
+    return True
+
+
+def test_map_constrained_deadlines_apart():
+    # together the two tasks fit by utilization (0.8), but 8 ms of work is
+    # due by 5 ms, so they need a core each
+    apps = [_task_app("a.t", 4000, 10_000, 4000),
+            _task_app("b.t", 4000, 10_000, 5000)]
+    mapping = map_to_cores(apps, 2)
+    assert mapping == {"a.t": 0, "b.t": 1}
+    assert _synthesizes(apps, 2, mapping)
+
+
+def _random_constrained_apps(rng):
+    apps = []
+    for i in range(rng.randint(1, 6)):
+        period = rng.choice((2000, 4000, 5000, 10_000))
+        wcet = Fraction(rng.randint(1, period * 4), 10)  # up to 0.4 of it
+        deadline = (period if rng.random() < 0.3
+                    else rng.randint(math.ceil(wcet), period))
+        apps.append(_task_app(f"t{i}", wcet, period, deadline,
+                              rng.randint(0, 4)))
+    return apps
+
+
+def test_map_accepts_a_core_exactly_when_edf_schedules_it():
+    rng = random.Random(17)
+    seen = {"accepted": 0, "rejected": 0, "rejected at U <= 1": 0}
+    for _ in range(300):
+        apps = _random_constrained_apps(rng)
+        try:
+            mapping = map_to_cores(apps, 1)
+        except InfeasibleError:
+            mapping = None
+        everything_on_0 = {a.tasks[0].id: 0 for a in apps}
+        assert (mapping is not None) == _synthesizes(apps, 1, everything_on_0)
+        if mapping is not None:
+            seen["accepted"] += 1
+        else:
+            seen["rejected"] += 1
+            seen["rejected at U <= 1"] += sum(a.utilization for a in apps) <= 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_every_mapping_synthesizes_on_up_to_three_cores():
+    rng = random.Random(18)
+    mapped = 0
+    for _ in range(300):
+        apps = _random_constrained_apps(rng)
+        cores = rng.randint(1, 3)
+        try:
+            mapping = map_to_cores(apps, cores)
+        except InfeasibleError:
+            continue
+        mapped += 1
+        assert _synthesizes(apps, cores, mapping)
+    assert mapped >= 150
 
 
 def test_tasks_never_migrate(uc1):

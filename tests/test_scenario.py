@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fogweaver.cli import main
 from fogweaver.dsl import parse_scenario
 from fogweaver.errors import (
     DuplicateIdentifierError,
@@ -129,6 +130,27 @@ def test_validate_explicit_task_mismatch():
     assert "utilization-mismatch" in validate(s).kinds()
 
 
+_ONE_TASK_ID_TWICE = """
+node N { cores 2 class 1 }
+node M { cores 1 class 1 }
+app "a" on N { level 1 tasks 1 period 10ms util 0.6 task t wcet 6000us period 10ms }
+app "b" on N { level 1 tasks 1 period 10ms util 0.6 task t wcet 6000us period 10ms }
+app "c" on M { level 1 tasks 1 period 10ms util 0.6 task t wcet 6000us period 10ms }
+"""
+
+
+def test_validate_rejects_one_task_id_twice_on_a_node(tmp_path, capsys):
+    # each core of N could run one of the two tasks, but a node schedule
+    # maps a task id to one core; the same id on another node is fine
+    s = parse_scenario(_ONE_TASK_ID_TWICE)
+    assert [str(v) for v in validate(s)] == [
+        "[duplicate-id] t: task declared 2 times on node N (applications a, b)"]
+    path = tmp_path / "twice.fog"
+    path.write_text(_ONE_TASK_ID_TWICE)
+    assert main(["node-schedule", str(path)]) == 1
+    assert "[duplicate-id] t" in capsys.readouterr().err
+
+
 # -- hyperperiod ------------------------------------------------------------
 
 
@@ -207,9 +229,12 @@ def test_round_trip_with_explicit_tasks_and_rates():
                     task t1 wcet 1500us period 10ms deadline 8ms }
     """
     s = parse_scenario(text)
-    assert s.params.solver_seed == 7
+    assert s.params.d_hop_us == 1
     assert s.links[0].rate_bps == 10**9
-    assert parse_scenario(scenario_to_text(s)) == s
+    printed = scenario_to_text(s)
+    assert parse_scenario(printed) == s
+    # old files' weight_base and seed parse, but nothing reads them
+    assert "weight_base" not in printed and "seed" not in printed
 
 
 _IDS = st.sampled_from(["a", "b", "c", "d", "e"])

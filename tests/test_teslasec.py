@@ -45,9 +45,9 @@ def test_frames_grow_by_mac_plus_key(overlay_and_secured, uc1):
     assert validate(secured).ok
 
 
-def test_grow_frames_disabled_keeps_sizes(uc1, uc1_net):
+def test_zero_mac_and_key_bytes_keep_sizes(uc1, uc1_net):
     overlay, secured = apply_tesla(uc1, uc1_net,
-                                   TeslaConfig(grow_frames=False))
+                                   TeslaConfig(mac_bytes=0, key_bytes=0))
     for st in uc1.streams:
         assert secured.stream(st.id).size_bytes == st.size_bytes
     assert all(s.size_after == s.size_before for s in overlay.streams)
