@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .dsl import parse_scenario
 from .errors import (
-    DuplicateIdentifierError,
     EmptyInputError,
     FogweaverError,
     InfeasibleError,
@@ -21,7 +20,6 @@ from .errors import (
     ScenarioSyntaxError,
     StreamNotScheduledError,
     TaskPlacementInfeasibleError,
-    UnknownReferenceError,
 )
 from .extensibility import (
     AdmissionReport,

@@ -14,14 +14,6 @@ class ScenarioSyntaxError(FogweaverError):
         self.column = column
 
 
-class DuplicateIdentifierError(FogweaverError):
-    """An identifier was declared more than once."""
-
-
-class UnknownReferenceError(FogweaverError):
-    """A declaration refers to an entity that was never declared."""
-
-
 class EmptyInputError(FogweaverError):
     """An operation that needs at least one element got none."""
 

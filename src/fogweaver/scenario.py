@@ -295,10 +295,12 @@ def _check_stream(s: Scenario, st: StreamSpec, entities: set[str],
         rb.add("deadline", st.id, "deadline must be positive")
     if st.criticality not in CRITICALITY_LEVELS:
         rb.add("criticality", st.id, f"criticality must be 0..4, got {st.criticality}")
-    for ent in (st.src, st.dst, *st.route):
-        if ent not in entities:
-            rb.add("unknown-reference", st.id, f"undeclared entity {ent!r}")
-            return
+    missing = [e for e in dict.fromkeys((st.src, st.dst, *st.route))
+               if e not in entities]
+    for ent in missing:
+        rb.add("unknown-reference", st.id, f"undeclared entity {ent!r}")
+    if missing:
+        return
     if len(st.route) < 2:
         rb.add("route", st.id, "route must contain at least two entities")
         return
@@ -354,7 +356,8 @@ def scenario_to_text(s: Scenario) -> str:
     """Render a scenario back to its textual form.
 
     Parsing the output yields a structurally equal scenario, which is the
-    round-trip guarantee the tests pin down.
+    round-trip guarantee the tests pin down. A value the language cannot
+    write, one with no finite decimal form, raises ValueError.
     """
     out: list[str] = []
     for sw in s.switches:

@@ -49,25 +49,29 @@ def time_from_json(value) -> Fraction:
     return Fraction(value)
 
 
-def fraction_to_decimal(f: Fraction, max_places: int = 12) -> str:
-    """Render a Fraction as a decimal string, exact when possible.
+def fraction_to_decimal(f: Fraction) -> str:
+    """Render a Fraction as an exact decimal string.
 
     Used by the scenario printer: parsed documents only ever contain
-    fractions with power-of-ten denominators, which render exactly.
+    fractions with power-of-ten denominators, which render exactly. A value
+    with no finite decimal form, such as 1/3, raises ValueError, because
+    the scenario language cannot write it.
     """
     f = Fraction(f)
+    rest = f.denominator
+    for p in (2, 5):
+        while rest % p == 0:
+            rest //= p
+    if rest != 1:
+        raise ValueError(f"{f} has no finite decimal form")
     if f.denominator == 1:
         return str(f.numerator)
     sign = "-" if f < 0 else ""
     f = abs(f)
     whole, rem = divmod(f.numerator, f.denominator)
     digits = []
-    for _ in range(max_places):
-        if rem == 0:
-            break
+    while rem:
         rem *= 10
         d, rem = divmod(rem, f.denominator)
         digits.append(str(d))
-    if rem != 0:  # not finitely decimal; best-effort rounding
-        digits.append(str(round(Fraction(rem, f.denominator))))
     return f"{sign}{whole}." + "".join(digits)

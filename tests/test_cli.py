@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,16 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     bad.write_text("node { huh }")
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err
+
+
+def test_every_dangling_reference_reported(tmp_path, capsys):
+    bad = tmp_path / "bad.fog"
+    bad.write_text('switch W1\nlink W1 -> E9\n'
+                   'app "a" on E8 { level 1 tasks 1 period 10ms util 0.5 }\n')
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "[unknown-reference] W1->E9: undeclared entity 'E9'",
+        "[unknown-reference] a: undeclared fog node 'E8'"]
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -194,10 +205,16 @@ def test_tesla_subcommand(uc1_file, tmp_path):
     assert doc["avg_delta_us"] > 0
 
 
-def test_run_pipeline_api(uc1_file):
-    code, report = run_pipeline(uc1_file)
+# sha256 of the uc1 report; a change to any reported figure changes it
+UC1_REPORT_SHA256 = "6d68308359a0d4ff218837ed8b1b55ce2c375ce438039a2e5a94f92266ed4bf6"
+
+
+def test_run_pipeline_api(uc1_file, tmp_path):
+    out = tmp_path / "report.json"
+    code, report = run_pipeline(uc1_file, out=out)
     assert code == 0
     assert report["scenario"]["streams"] == 10
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == UC1_REPORT_SHA256
 
 
 @pytest.mark.parametrize("command, verifier", [
