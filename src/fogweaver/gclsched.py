@@ -16,8 +16,10 @@ The search runs on exact integer ticks of 1/lcm(10, denominator of
 deadlines are whole microseconds, so every time it compares is a whole
 number of ticks. The accepted offsets are turned into ``Fraction`` offsets
 and windows once, at the end. The verifier re-checks a finished schedule
-with plain ``Fraction`` interval arithmetic and shares no code with the
-solver.
+exactly and shares no code with the solver: it derives an integer base of
+its own from its input, the lcm of the denominators of every time it
+reads, and runs every check on integers. The exporter sorts each port on
+an exact integer key the same way.
 """
 
 from __future__ import annotations
@@ -246,79 +248,111 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
     window length, period containment, deadline satisfaction, zero jitter,
     completeness (every instance of every stream present) and that no
     window lies beyond the stream's instances or off its route.
+
+    The checks run on integers: every time it reads (window ends, offsets,
+    ``d_hop``, transmission times, periods, deadlines, the cycle) is scaled
+    once by the lcm ``D`` of their denominators. Multiplying by a positive
+    ``D`` keeps equality and order, so each verdict is the exact
+    ``Fraction`` one; messages print the original values or ``x / D``.
     """
     rb = ReportBuilder()
+    d_hop = ns.d_hop_us
 
-    per_link: dict[str, list[FrameWindow]] = {}
-    for w in ns.windows:
-        per_link.setdefault(w.link, []).append(w)
-    for link_id in sorted(per_link):
-        wins = sorted(per_link[link_id], key=lambda w: (w.open_us, w.close_us))
-        for a, b in zip(wins, wins[1:]):
-            if b.open_us < a.close_us:
-                rb.add("overlap", link_id,
-                       f"{a.stream}#{a.instance} [{a.open_us}, {a.close_us}) overlaps "
-                       f"{b.stream}#{b.instance} [{b.open_us}, {b.close_us})")
-
-    per_stream: dict[str, list[FrameWindow]] = {}
-    for w in ns.windows:
-        per_stream.setdefault(w.stream, []).append(w)
-
+    # the inputs of each declared stream: (stream, offset, route link ids, tx)
+    named = {w.stream for w in ns.windows}
+    plan = []
     for st in s.streams:
-        wins = per_stream.get(st.id, [])
         phi = ns.offsets.get(st.id)
-        if phi is None or not wins:
-            rb.add("missing", st.id, "stream has no offset or no windows")
+        if phi is None or st.id not in named:
+            plan.append((st, None, None, None))
             continue
         route = resolve_route(s, st)
         tx = transmission_time(st.size_bytes,
                                min(l.rate_bps for l in route.links))
+        plan.append((st, phi, [l.id for l in route.links], tx))
+
+    dens = {w.open_us.denominator for w in ns.windows}
+    dens.update(w.close_us.denominator for w in ns.windows)
+    dens.update(phi.denominator for phi in ns.offsets.values())
+    dens.update(v.denominator for st, phi, _, tx in plan if phi is not None
+                for v in (tx, st.period_us, st.deadline_us))
+    D = math.lcm(d_hop.denominator, ns.cycle_us.denominator, *dens)
+
+    def scaled(t) -> int:
+        return t.numerator * (D // t.denominator)
+
+    per_link: dict[str, list[tuple[FrameWindow, int, int]]] = {}
+    per_stream: dict[str, list[tuple[FrameWindow, int, int]]] = {}
+    for w in ns.windows:
+        row = (w, scaled(w.open_us), scaled(w.close_us))
+        per_link.setdefault(w.link, []).append(row)
+        per_stream.setdefault(w.stream, []).append(row)
+
+    for link_id in sorted(per_link):
+        rows = sorted(per_link[link_id], key=lambda r: (r[1], r[2]))
+        for (a, _, a_close), (b, b_open, _) in zip(rows, rows[1:]):
+            if b_open < a_close:
+                rb.add("overlap", link_id,
+                       f"{a.stream}#{a.instance} [{a.open_us}, {a.close_us}) overlaps "
+                       f"{b.stream}#{b.instance} [{b.open_us}, {b.close_us})")
+
+    hop = scaled(d_hop)
+    cycle = scaled(ns.cycle_us)
+    for st, phi, link_order, tx in plan:
+        if phi is None:
+            rb.add("missing", st.id, "stream has no offset or no windows")
+            continue
+        rows = per_stream[st.id]
         T = st.period_us
         instances = ns.cycle_us // T if T else 0
-        link_order = [l.id for l in route.links]
 
-        by_key = {(w.instance, w.link): w for w in wins}
-        if len(by_key) != len(wins):
+        by_key = {(w.instance, w.link): (w, opn, cls) for w, opn, cls in rows}
+        if len(by_key) != len(rows):
             rb.add("missing", st.id, "duplicate window for one (instance, link)")
         for k, link_id in by_key:
             if not (0 <= k < instances and link_id in link_order):
                 rb.add("containment", st.id,
                        f"window of instance {k} on {link_id} is not one of "
                        f"the {instances} instances on the route")
-        arrivals = []  # the delay of each instance
+        phi_d, tx_d, T_d = scaled(phi), scaled(tx), scaled(T)
+        deadline = scaled(st.deadline_us)
+        arrivals = []  # the delay of each instance, scaled
         for k in range(instances):
+            release = k * T_d
             delays = []
             for j, link_id in enumerate(link_order):
-                w = by_key.get((k, link_id))
-                if w is None:
+                row = by_key.get((k, link_id))
+                if row is None:
                     rb.add("missing", st.id, f"instance {k} has no window on {link_id}")
                     continue
-                expected_open = phi + k * T + j * ns.d_hop_us
-                if w.open_us != expected_open:
+                w, opn, cls = row
+                expected_open = phi_d + release + j * hop
+                if opn != expected_open:
                     rb.add("precedence", st.id,
                            f"instance {k} on {link_id} opens at {w.open_us}, "
-                           f"expected {expected_open}")
-                if w.close_us - w.open_us != tx:
+                           f"expected {Fraction(expected_open, D)}")
+                if cls - opn != tx_d:
                     rb.add("window-length", st.id,
                            f"instance {k} on {link_id} has length "
-                           f"{w.close_us - w.open_us}, expected {tx}")
-                if not (k * T <= w.open_us and w.close_us <= (k + 1) * T):
+                           f"{Fraction(cls - opn, D)}, expected {tx}")
+                if not (release <= opn and cls <= release + T_d):
                     rb.add("containment", st.id,
                            f"instance {k} window [{w.open_us}, {w.close_us}) leaves "
                            f"its period slot [{k * T}, {(k + 1) * T})")
-                if not (0 <= w.open_us < w.close_us <= ns.cycle_us):
+                if not (0 <= opn < cls <= cycle):
                     rb.add("containment", st.id,
                            f"instance {k} window [{w.open_us}, {w.close_us}) leaves "
                            f"the cycle [0, {ns.cycle_us})")
-                delays.append(w.close_us + ns.d_hop_us - k * T)
+                delays.append(cls + hop - release)
             if delays:
                 arrivals.append(max(delays))
-                if max(delays) > st.deadline_us:
+                if max(delays) > deadline:
                     rb.add("deadline", st.id,
-                           f"instance {k} arrives {max(delays)} us after "
-                           f"release, deadline is {st.deadline_us} us")
+                           f"instance {k} arrives {Fraction(max(delays), D)} us "
+                           f"after release, deadline is {st.deadline_us} us")
         if arrivals and max(arrivals) != min(arrivals):
-            rb.add("jitter", st.id, f"jitter {max(arrivals) - min(arrivals)} us, expected 0")
+            rb.add("jitter", st.id,
+                   f"jitter {Fraction(max(arrivals) - min(arrivals), D)} us, expected 0")
     for sid in sorted(per_stream.keys() - {st.id for st in s.streams}):
         rb.add("containment", sid, "windows of a stream the scenario does not declare")
     return rb.build()
@@ -340,12 +374,19 @@ def qoc_proxy(ns: NetSchedule, s: Scenario) -> Fraction:
 
 def gcl_export(ns: NetSchedule) -> list[dict]:
     """One JSON-ready object per egress port, entries sorted by open time."""
+    # sort on opens scaled to whole multiples of 1/D us, an exact integer key
+    D = math.lcm(*{w.open_us.denominator for w in ns.windows})
+
+    def scaled_open(w: FrameWindow) -> int:
+        return w.open_us.numerator * (D // w.open_us.denominator)
+
     per_link: dict[str, list[FrameWindow]] = {}
     for w in ns.windows:
         per_link.setdefault(w.link, []).append(w)
     out = []
     for link_id in sorted(per_link):
-        entries = sorted(per_link[link_id], key=lambda w: (w.open_us, w.stream))
+        entries = sorted(per_link[link_id],
+                         key=lambda w: (scaled_open(w), w.stream))
         out.append({
             "port": link_id,
             "cycle_us": ns.cycle_us,

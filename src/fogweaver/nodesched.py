@@ -310,6 +310,9 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
                    f"slice [{sl.start_us}, {sl.end_us}) on core {sl.core} is not "
                    f"inside a window of partition {part.id}")
 
+    jobs: dict[tuple[str, int], list[TaskSlice]] = {}
+    for sl in ns.slices:
+        jobs.setdefault((sl.task, sl.job_index), []).append(sl)
     for task in ns.tasks.values():
         if ns.major_frame_us % task.period_us:
             rb.add("frame", task.id,
@@ -319,8 +322,7 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
         for k in range(ns.major_frame_us // task.period_us):
             release = k * task.period_us
             deadline = release + task.deadline_us
-            job_slices = [sl for sl in ns.slices
-                          if sl.task == task.id and sl.job_index == k]
+            job_slices = jobs.get((task.id, k), [])
             inside = [sl for sl in job_slices
                       if release <= sl.start_us and sl.end_us <= deadline]
             if len(inside) != len(job_slices):

@@ -32,12 +32,15 @@ def time_to_json(t: Time):
     string form recovers the value). Anything else - e.g. a third of a
     millisecond - is emitted as an ``"a/b"`` string.
     """
-    f = Fraction(t)
-    if f.denominator == 1:
-        return int(f)
-    if Fraction(str(float(f))) == f:
-        return float(f)
-    return f"{f.numerator}/{f.denominator}"
+    f = t if type(t) is Fraction else Fraction(t)
+    n, d = f.numerator, f.denominator
+    if d == 1:
+        return n
+    # a multiple of 0.1 below 1e14 has at most 15 significant digits, so
+    # its float survives the trip through a string (DBL_DIG) unchecked
+    if (10 % d == 0 and abs(n) < 10**14 * d) or Fraction(str(n / d)) == f:
+        return n / d
+    return f"{n}/{d}"
 
 
 def time_from_json(value) -> Fraction:

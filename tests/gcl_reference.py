@@ -1,10 +1,16 @@
-"""A reference copy of the GCL offset search on ``fractions.Fraction``.
+"""Reference copies of the GCL search, verifier and exporter on ``Fraction``.
 
 ``synthesize_gcl`` runs its search on integer ticks. This module keeps the
 same search written directly on microsecond ``Fraction`` values, so tests
 can check that the tick conversion changes no offset, window or verdict.
 It also counts the search's backtracks, so tests can tell which instances
 exercise them.
+
+``verify_net_schedule`` and ``gcl_export`` work on an integer base of their
+own; ``reference_verify`` and ``reference_export`` are the same checks and
+the same export written on ``Fraction``, with the string round trip for
+every exported time, so tests can check that the integer base changes no
+verdict, message or byte.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from fractions import Fraction
 from fogweaver.errors import InfeasibleError
 from fogweaver.gclsched import DEFAULT_NODE_BUDGET, FrameWindow
 from fogweaver.netmodel import resolve_route, transmission_time
+from fogweaver.reporting import ReportBuilder
 from fogweaver.scenario import hyperperiod
 from fogweaver.units import GRID_US
 
@@ -137,3 +144,109 @@ def reference_search(s, node_budget=DEFAULT_NODE_BUDGET):
     windows = tuple(w for wins in placed_windows for w in wins)
     return ({st.id: offset_map[st.id] for st in s.streams}, windows,
             backtracks)
+
+
+def reference_verify(ns, s):
+    """The network verifier's checks on plain ``Fraction`` arithmetic."""
+    rb = ReportBuilder()
+
+    per_link = {}
+    for w in ns.windows:
+        per_link.setdefault(w.link, []).append(w)
+    for link_id in sorted(per_link):
+        wins = sorted(per_link[link_id], key=lambda w: (w.open_us, w.close_us))
+        for a, b in zip(wins, wins[1:]):
+            if b.open_us < a.close_us:
+                rb.add("overlap", link_id,
+                       f"{a.stream}#{a.instance} [{a.open_us}, {a.close_us}) overlaps "
+                       f"{b.stream}#{b.instance} [{b.open_us}, {b.close_us})")
+
+    per_stream = {}
+    for w in ns.windows:
+        per_stream.setdefault(w.stream, []).append(w)
+
+    for st in s.streams:
+        wins = per_stream.get(st.id, [])
+        phi = ns.offsets.get(st.id)
+        if phi is None or not wins:
+            rb.add("missing", st.id, "stream has no offset or no windows")
+            continue
+        route = resolve_route(s, st)
+        tx = transmission_time(st.size_bytes,
+                               min(l.rate_bps for l in route.links))
+        T = st.period_us
+        instances = ns.cycle_us // T if T else 0
+        link_order = [l.id for l in route.links]
+
+        by_key = {(w.instance, w.link): w for w in wins}
+        if len(by_key) != len(wins):
+            rb.add("missing", st.id, "duplicate window for one (instance, link)")
+        for k, link_id in by_key:
+            if not (0 <= k < instances and link_id in link_order):
+                rb.add("containment", st.id,
+                       f"window of instance {k} on {link_id} is not one of "
+                       f"the {instances} instances on the route")
+        arrivals = []
+        for k in range(instances):
+            delays = []
+            for j, link_id in enumerate(link_order):
+                w = by_key.get((k, link_id))
+                if w is None:
+                    rb.add("missing", st.id, f"instance {k} has no window on {link_id}")
+                    continue
+                expected_open = phi + k * T + j * ns.d_hop_us
+                if w.open_us != expected_open:
+                    rb.add("precedence", st.id,
+                           f"instance {k} on {link_id} opens at {w.open_us}, "
+                           f"expected {expected_open}")
+                if w.close_us - w.open_us != tx:
+                    rb.add("window-length", st.id,
+                           f"instance {k} on {link_id} has length "
+                           f"{w.close_us - w.open_us}, expected {tx}")
+                if not (k * T <= w.open_us and w.close_us <= (k + 1) * T):
+                    rb.add("containment", st.id,
+                           f"instance {k} window [{w.open_us}, {w.close_us}) leaves "
+                           f"its period slot [{k * T}, {(k + 1) * T})")
+                if not (0 <= w.open_us < w.close_us <= ns.cycle_us):
+                    rb.add("containment", st.id,
+                           f"instance {k} window [{w.open_us}, {w.close_us}) leaves "
+                           f"the cycle [0, {ns.cycle_us})")
+                delays.append(w.close_us + ns.d_hop_us - k * T)
+            if delays:
+                arrivals.append(max(delays))
+                if max(delays) > st.deadline_us:
+                    rb.add("deadline", st.id,
+                           f"instance {k} arrives {max(delays)} us after "
+                           f"release, deadline is {st.deadline_us} us")
+        if arrivals and max(arrivals) != min(arrivals):
+            rb.add("jitter", st.id, f"jitter {max(arrivals) - min(arrivals)} us, expected 0")
+    for sid in sorted(per_stream.keys() - {st.id for st in s.streams}):
+        rb.add("containment", sid, "windows of a stream the scenario does not declare")
+    return rb.build()
+
+
+def reference_time_to_json(t):
+    """The exported form of a time, checked by a round trip through a string."""
+    f = Fraction(t)
+    if f.denominator == 1:
+        return int(f)
+    if Fraction(str(float(f))) == f:
+        return float(f)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def reference_export(ns):
+    """The GCL export with ``Fraction`` sort keys and checked times."""
+    per_link = {}
+    for w in ns.windows:
+        per_link.setdefault(w.link, []).append(w)
+    return [
+        {"port": link_id,
+         "cycle_us": ns.cycle_us,
+         "entries": [{"open_us": reference_time_to_json(w.open_us),
+                      "close_us": reference_time_to_json(w.close_us),
+                      "stream": w.stream,
+                      "instance": w.instance}
+                     for w in sorted(per_link[link_id],
+                                     key=lambda w: (w.open_us, w.stream))]}
+        for link_id in sorted(per_link)]

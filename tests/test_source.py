@@ -21,8 +21,8 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-SOLVER_HELPERS = {"_TickStream", "_forbidden_offsets", "_offset_candidates",
-                  "edf", "_climb", "_even_spread"}
+SOLVER_HELPERS = {"_TickStream", "_tick_windows", "_forbidden_offsets",
+                  "_offset_candidates", "edf", "_climb", "_even_spread"}
 
 
 def test_verifiers_name_no_solver_helper():
