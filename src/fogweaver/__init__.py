@@ -11,16 +11,7 @@ their delay overheads.
 __version__ = "0.1.0"
 
 from .dsl import parse_scenario
-from .errors import (
-    EmptyInputError,
-    FogweaverError,
-    InfeasibleError,
-    MismatchedStreamsError,
-    NoSuchLinkError,
-    ScenarioSyntaxError,
-    StreamNotScheduledError,
-    TaskPlacementInfeasibleError,
-)
+from .errors import FogweaverError, InfeasibleError, ScenarioSyntaxError
 from .extensibility import (
     AdmissionReport,
     IdleProfile,
@@ -71,7 +62,6 @@ from .scenario import (
     hyperperiod,
     scenario_to_text,
     validate,
-    with_params,
 )
 from .teslasec import (
     SecurityOverlay,

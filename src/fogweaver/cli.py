@@ -11,28 +11,31 @@ Subcommands mirror the pipeline stages::
     fogweaver tesla <scenario> [--interval US] [--disclosure D] [-o out.json]
     fogweaver pipeline <scenario> [-o report.json] [--gantt DIR] [--format ...]
 
-Each subcommand calls the stage functions of :mod:`fogweaver.pipeline`,
-the same ones ``run_pipeline`` calls, so every schedule a subcommand
-writes went through its verifier once. ``--gantt`` writes a chart plus the
+Each subcommand reads the scenario file with ``parse_scenario`` and calls
+the stage functions of :mod:`fogweaver.pipeline`, the same ones
+``run_pipeline`` calls, so every schedule a subcommand writes went through
+its verifier once. The scenario file is the only model input: no flag
+overrides a value it sets. ``--gantt`` writes a chart plus the
 JSON table of each schedule, the file set the pipeline writes; ``tesla``
 prints the block the pipeline report holds under ``"tesla"``.
 
-Exit codes: 0 success, 1 validation failure, 2 infeasible (printed as
+Exit codes: 0 success, 1 validation failure or usage error (an unknown
+flag, a missing argument, a malformed number), 2 infeasible (printed as
 ``gave up:`` when a search stopped on its budget instead of proving it) or
 a schedule that failed verification, 3 I/O error. ``main`` returns the code
-on every path; nothing exits the process from inside a subcommand.
+on every path; only ``--help`` and ``--version`` exit the process, with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import pathlib
 import sys
 from fractions import Fraction
 
 from . import __version__
+from .dsl import parse_scenario
 from .errors import FogweaverError, InfeasibleError
 from .extensibility import admit_dynamic
 from .gclsched import gcl_export
@@ -44,7 +47,6 @@ from .pipeline import (
     EXIT_OK,
     EXIT_VALIDATION,
     extensibility_stage,
-    load_scenario,
     net_stage,
     node_stage,
     run_pipeline,
@@ -57,8 +59,17 @@ from .scenario import Scenario, TaskSpec, validate
 from .teslasec import TeslaConfig
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Turns a usage error into a :class:`FogweaverError`, so ``main``
+    returns exit 1 with one ``error:`` line instead of argparse's exit 2,
+    which would read as "infeasible"."""
+
+    def error(self, message):
+        raise FogweaverError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fogweaver",
         description="Offline schedule synthesis for TSN-based fog platforms.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -69,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", metavar="PATH",
                            help="write the JSON result here")
-        p.add_argument("--d-hop", type=float, metavar="US",
-                       help="override the per-hop forwarding latency")
         if gantt:
             p.add_argument("--gantt", metavar="DIR",
                            help="write Gantt charts into this directory")
@@ -141,18 +150,9 @@ def _require_verified(report: Report) -> None:
     _require(report, EXIT_INFEASIBLE, "verification failed: ")
 
 
-def _d_hop(args) -> Fraction | None:
-    if args.d_hop is None:
-        return None
-    if not math.isfinite(args.d_hop):
-        raise FogweaverError(
-            f"--d-hop must be a finite number, got {args.d_hop}")
-    return Fraction(str(args.d_hop))
-
-
 def _validated(args) -> Scenario:
     text = pathlib.Path(args.scenario).read_text(encoding="utf-8")
-    s = load_scenario(text, _d_hop(args))
+    s = parse_scenario(text)
     _require(validate(s), EXIT_VALIDATION)
     return s
 
@@ -266,7 +266,6 @@ def cmd_tesla(args) -> int:
 def cmd_pipeline(args) -> int:
     code, report = run_pipeline(
         args.scenario,
-        d_hop_us=_d_hop(args),
         out=args.output,
         gantt_dir=args.gantt,
         gantt_format=args.format,
@@ -291,8 +290,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _Stop as stop:
         return stop.code

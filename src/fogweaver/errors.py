@@ -14,22 +14,6 @@ class ScenarioSyntaxError(FogweaverError):
         self.column = column
 
 
-class EmptyInputError(FogweaverError):
-    """An operation that needs at least one element got none."""
-
-
-class NoSuchLinkError(FogweaverError):
-    """A route names two adjacent entities with no declared link between them."""
-
-
-class StreamNotScheduledError(FogweaverError):
-    """Metrics were requested for a stream absent from the schedule."""
-
-
-class MismatchedStreamsError(FogweaverError):
-    """Two per-stream maps that must cover the same streams do not."""
-
-
 class InfeasibleError(FogweaverError):
     """A synthesis step could not place every stream or task.
 
@@ -42,7 +26,3 @@ class InfeasibleError(FogweaverError):
         super().__init__(message)
         self.unplaced = tuple(unplaced)
         self.gave_up = gave_up
-
-
-class TaskPlacementInfeasibleError(InfeasibleError):
-    """A node cannot absorb additional (security) tasks."""

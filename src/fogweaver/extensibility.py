@@ -27,6 +27,7 @@ from .scenario import TaskSpec
 from .units import GRID_US, lcm_all
 
 DYNAMIC_PARTITION = "dynamic"  # dynamic tasks run outside static partitions
+ITERATION_BUDGET = 200  # accepted moves per hill climb
 
 
 @dataclass(frozen=True)
@@ -65,42 +66,32 @@ class AdmissionReport:
         }
 
 
-def _merged_busy(ns: NodeSchedule, core: int) -> list[tuple[Fraction, Fraction]]:
-    merged: list[tuple[Fraction, Fraction]] = []
-    for sl in ns.core_slices(core):
-        if merged and sl.start_us <= merged[-1][1]:
-            if sl.end_us > merged[-1][1]:
-                merged[-1] = (merged[-1][0], sl.end_us)
-        else:
-            merged.append((sl.start_us, sl.end_us))
-    return merged
+def _idle_gaps(busy_sorted, frame: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The idle (start, end) gaps of [0, frame) around a start-sorted list
+    of busy (start, end) intervals. The cursor sits at the latest end seen,
+    so overlapping or touching intervals leave no gap between them."""
+    gaps = []
+    cursor = Fraction(0)
+    for s, e in busy_sorted:
+        if s > cursor:
+            gaps.append((cursor, s))
+        cursor = max(cursor, e)
+    if cursor < frame:
+        gaps.append((cursor, frame))
+    return gaps
 
 
 def idle_profile(ns: NodeSchedule, core: int) -> IdleProfile:
     """Complement of the busy slices on ``core`` over [0, major_frame)."""
-    frame = Fraction(ns.major_frame_us)
-    gaps: list[tuple[Fraction, Fraction]] = []
-    cursor = Fraction(0)
-    for b0, b1 in _merged_busy(ns, core):
-        if b0 > cursor:
-            gaps.append((cursor, b0))
-        cursor = max(cursor, b1)
-    if cursor < frame:
-        gaps.append((cursor, frame))
+    gaps = _idle_gaps([(sl.start_us, sl.end_us) for sl in ns.core_slices(core)],
+                      Fraction(ns.major_frame_us))
     return IdleProfile(core, tuple(gaps))
 
 
 def _gap_variance(busy_sorted, frame: Fraction) -> tuple[int, Fraction]:
     """(gap count, exact population variance of the idle-gap durations)
     for a start-sorted list of busy (start, end) intervals."""
-    gaps = []
-    cursor = Fraction(0)
-    for s, e in busy_sorted:
-        if s > cursor:
-            gaps.append(s - cursor)
-        cursor = max(cursor, e)
-    if cursor < frame:
-        gaps.append(frame - cursor)
+    gaps = [b - a for a, b in _idle_gaps(busy_sorted, frame)]
     n = len(gaps)
     if n < 2:
         return n, Fraction(0)
@@ -223,8 +214,7 @@ def _climb(starts: list[int], durations: list[int],
     return starts, Fraction(*variance(n, q))
 
 
-def _optimize_core(ns: NodeSchedule, core: int, budget: int
-                   ) -> list[TaskSlice] | None:
+def _optimize_core(ns: NodeSchedule, core: int) -> list[TaskSlice] | None:
     """The best layout of one core's slices, or None when neither climb
     scores strictly below the current layout. The climb from the current
     layout comes first and wins ties with the climb from the even spread.
@@ -253,10 +243,12 @@ def _optimize_core(ns: NodeSchedule, core: int, budget: int
     grid = scale // GRID_US.denominator
     # a climb accepts only strictly better moves, so it scores below its
     # start exactly when it moved
-    best, best_var = _climb(starts, durations, windows, frame, grid, budget)
+    best, best_var = _climb(starts, durations, windows, frame, grid,
+                            ITERATION_BUDGET)
     spread = _even_spread(durations, windows, frame)
     if spread is not None:
-        climbed, var = _climb(spread, durations, windows, frame, grid, budget)
+        climbed, var = _climb(spread, durations, windows, frame, grid,
+                              ITERATION_BUDGET)
         if var < best_var:
             best = climbed
     if best == starts:
@@ -266,20 +258,20 @@ def _optimize_core(ns: NodeSchedule, core: int, budget: int
             for sl, s, d in zip(ordered, best, durations)]
 
 
-def optimize_extensibility(ns: NodeSchedule, iteration_budget: int = 200
-                           ) -> NodeSchedule:
+def optimize_extensibility(ns: NodeSchedule) -> NodeSchedule:
     """Spread idle time by sliding slices; never worsens any core's metric.
 
     Deterministic, core by core: an even-spread pass re-places the slices
     with equal idle gaps where the jobs' windows allow, then hill climbing
-    refines the result; plain hill climbing on the original layout is kept
-    instead when it scores better. Every intermediate layout respects the
-    job windows and core non-overlap, so the output always verifies. The
-    input is returned unchanged when nothing improves.
+    refines the result (at most ``ITERATION_BUDGET`` accepted moves per
+    climb); plain hill climbing on the original layout is kept instead when
+    it scores better. Every intermediate layout respects the job windows
+    and core non-overlap, so the output always verifies. The input is
+    returned unchanged when nothing improves.
     """
     moved = {}
     for core in range(ns.cores):
-        layout = _optimize_core(ns, core, iteration_budget)
+        layout = _optimize_core(ns, core)
         if layout is not None:
             moved[core] = layout
     if not moved:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InfeasibleError, StreamNotScheduledError
+from .errors import FogweaverError, InfeasibleError
 from .netmodel import resolve_route, transmission_time
 from .reporting import Report, ReportBuilder
 from .scenario import Scenario, StreamSpec, hyperperiod
@@ -234,7 +234,7 @@ def stream_metrics(ns: NetSchedule, st: StreamSpec) -> StreamTiming:
             if prev is None or w.close_us > prev:
                 by_instance[w.instance] = w.close_us
     if not by_instance:
-        raise StreamNotScheduledError(st.id)
+        raise FogweaverError(st.id)
     delays = [close + ns.d_hop_us - k * st.period_us
               for k, close in by_instance.items()]
     return StreamTiming(ed_us=max(delays), jitter_us=max(delays) - min(delays))

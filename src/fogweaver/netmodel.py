@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoSuchLinkError
+from .errors import FogweaverError
 from .scenario import LinkSpec, ModelParams, Scenario, StreamSpec
 from .units import GRID_US
 
@@ -41,7 +41,7 @@ def resolve_route(s: Scenario, st: StreamSpec) -> Route:
     for a, b in zip(st.route, st.route[1:]):
         link = s.link(a, b)
         if link is None:
-            raise NoSuchLinkError(f"stream {st.id!r}: no declared link {a} -> {b}")
+            raise FogweaverError(f"stream {st.id!r}: no declared link {a} -> {b}")
         links.append(link)
     return Route(tuple(links))
 

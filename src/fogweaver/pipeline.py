@@ -1,15 +1,15 @@
 """The pipeline stages and the end-to-end pipeline.
 
 Each stage is written once here and called by both the CLI subcommands and
-``run_pipeline``: ``load_scenario`` (parse plus overrides), ``net_stage``
-(GCL synthesis and its verification), ``node_stage`` (node-schedule
-verification), ``extensibility_stage``, ``tesla_stage`` and
-``write_gantt``. ``net_stage`` and ``node_stage`` run each verifier
-exactly once and hand its ``Report`` back; the caller decides whether to
-go on.
+``run_pipeline``: ``net_stage`` (GCL synthesis and its verification),
+``node_stage`` (node-schedule verification), ``extensibility_stage``,
+``tesla_stage`` and ``write_gantt``. Both callers read the scenario with
+:func:`~fogweaver.dsl.parse_scenario`; the file is the only model input.
+``net_stage`` and ``node_stage`` run each verifier exactly once and hand
+its ``Report`` back; the caller decides whether to go on.
 
 Reports are plain dicts of JSON-compatible values, assembled in a fixed
-order with no timestamps, so two runs over the same inputs produce
+order with no timestamps, so two runs over the same scenario file produce
 byte-identical files. Times and utilizations follow the rule of every
 export, :func:`~fogweaver.units.time_to_json`: exact, never rounded.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from fractions import Fraction
 
 from . import __version__
 from .dsl import parse_scenario
@@ -43,8 +42,15 @@ from .nodesched import (
     verify_node_schedule,
 )
 from .reporting import Report
-from .scenario import Scenario, validate, with_params
-from .teslasec import TeslaConfig, apply_tesla, secured_delay, tesla_overhead_report
+from .scenario import Scenario, validate
+from .teslasec import (
+    KEY_BYTES,
+    MAC_BYTES,
+    TeslaConfig,
+    apply_tesla,
+    secured_delay,
+    tesla_overhead_report,
+)
 from .units import time_to_json
 
 EXIT_OK = 0
@@ -55,14 +61,6 @@ EXIT_IO = 3
 
 def _verdict(verification: Report) -> str | list[str]:
     return "clean" if verification.ok else [str(v) for v in verification]
-
-
-def load_scenario(text: str, d_hop_us=None) -> Scenario:
-    """Parse scenario text, then apply the per-hop latency override if any."""
-    s = parse_scenario(text)
-    if d_hop_us is not None:
-        s = with_params(s, d_hop_us=Fraction(d_hop_us))
-    return s
 
 
 def net_summary(ns: NetSchedule, s: Scenario, verification: Report) -> dict:
@@ -155,8 +153,8 @@ def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig) -> dict:
     }
     return {
         "config": {
-            "mac_bytes": cfg.mac_bytes,
-            "key_bytes": cfg.key_bytes,
+            "mac_bytes": MAC_BYTES,
+            "key_bytes": KEY_BYTES,
             "key_interval_us": cfg.key_interval_us,
             "disclosure_delay": cfg.disclosure_delay,
         },
@@ -186,7 +184,7 @@ def write_gantt(directory: str | pathlib.Path, gantt_format: str,
 
 
 def run_pipeline(scenario_path: str | pathlib.Path, *,
-                 d_hop_us=None, out: str | pathlib.Path | None = None,
+                 out: str | pathlib.Path | None = None,
                  gantt_dir: str | pathlib.Path | None = None,
                  gantt_format: str = "svg",
                  ) -> tuple[int, dict]:
@@ -226,7 +224,7 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
         return code, report
 
     try:
-        s = load_scenario(text, d_hop_us)
+        s = parse_scenario(text)
     except FogweaverError as exc:
         report["validation"] = [str(exc)]
         return finish(EXIT_VALIDATION)

@@ -10,10 +10,10 @@ Parsing from the textual description language lives in :mod:`fogweaver.dsl`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyInputError
+from .errors import FogweaverError
 from .reporting import Report, ReportBuilder
 from .units import fraction_to_decimal, lcm_all
 
@@ -186,7 +186,7 @@ def hyperperiod(periods_us) -> int:
     """Least common multiple of the given periods (integer microseconds)."""
     periods = list(periods_us)
     if not periods:
-        raise EmptyInputError("hyperperiod of an empty period set")
+        raise FogweaverError("hyperperiod of an empty period set")
     if any(p <= 0 for p in periods):
         raise ValueError(f"periods must be positive, got {periods}")
     return lcm_all(periods)
@@ -395,8 +395,3 @@ def scenario_to_text(s: Scenario) -> str:
         parts.append("}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
-
-
-def with_params(s: Scenario, **overrides) -> Scenario:
-    """Copy of ``s`` with selected model parameters replaced."""
-    return replace(s, params=replace(s.params, **overrides))

@@ -1,12 +1,14 @@
 """TESLA-style stream authentication overlay.
 
 Secured streams carry a MAC and a delayed-disclosure key, so frames grow by
-``mac_bytes + key_bytes``; each secured stream also gets a dedicated
-security application of two tasks - MAC generation at the sender, MAC
-verification at the receiver - inheriting the stream's criticality level.
-A receiver cannot authenticate a frame until the key of the sending
-interval is disclosed, ``disclosure_delay`` key intervals later, which
-dominates the end-to-end delay penalty.
+``MAC_BYTES + KEY_BYTES``; each secured stream also gets a dedicated
+security application of two tasks - MAC generation at the sender
+(``SIGN_WCET_US``), MAC verification at the receiver (``VERIFY_WCET_US``) -
+inheriting the stream's criticality level. A receiver cannot authenticate a
+frame until the key of the sending interval is disclosed,
+``disclosure_delay`` key intervals later, which dominates the end-to-end
+delay penalty. The sizes and WCETs are fixed by the model; the key interval
+and the disclosure delay are the two settings of :class:`TeslaConfig`.
 
 This is a scheduling model: no MACs are computed and no key chains are
 generated - the overlay only sizes frames, places the security tasks and
@@ -18,33 +20,28 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import (
-    InfeasibleError,
-    MismatchedStreamsError,
-    TaskPlacementInfeasibleError,
-)
+from .errors import FogweaverError, InfeasibleError
 from .gclsched import NetSchedule
 from .nodesched import map_to_cores
 from .scenario import ApplicationSpec, Scenario, StreamSpec, TaskSpec
 from .units import time_to_json
 
+MAC_BYTES = 16
+KEY_BYTES = 16
+SIGN_WCET_US = Fraction(50)
+VERIFY_WCET_US = Fraction(50)
+
 
 @dataclass(frozen=True)
 class TeslaConfig:
-    mac_bytes: int = 16
-    key_bytes: int = 16
     key_interval_us: int = 1000
     disclosure_delay: int = 1     # key intervals until the key is published
-    sign_wcet_us: Fraction = Fraction(50)
-    verify_wcet_us: Fraction = Fraction(50)
 
     def __post_init__(self):
         if self.key_interval_us <= 0:
             raise ValueError("key_interval_us must be positive")
         if self.disclosure_delay < 0:
             raise ValueError("disclosure_delay must be >= 0")
-        object.__setattr__(self, "sign_wcet_us", Fraction(self.sign_wcet_us))
-        object.__setattr__(self, "verify_wcet_us", Fraction(self.verify_wcet_us))
 
 
 @dataclass(frozen=True)
@@ -87,23 +84,24 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
     Returns the overlay plus a scenario variant ready for re-synthesis:
     frames grown by the MAC + key bytes and one single-task security
     application per security task hosted on a fog node. Sensor-hosted sign
-    tasks are recorded in the overlay but consume no fog-node capacity. Raises :class:`TaskPlacementInfeasibleError` when
-    a node cannot absorb its new security tasks.
+    tasks are recorded in the overlay but consume no fog-node capacity.
+    Raises :class:`InfeasibleError` when a node cannot absorb its new
+    security tasks.
     """
     node_ids = {n.id for n in s.nodes}
     secured: list[SecuredStream] = []
     new_streams: list[StreamSpec] = []
     new_apps: list[ApplicationSpec] = []
 
-    growth = cfg.mac_bytes + cfg.key_bytes
+    growth = MAC_BYTES + KEY_BYTES
     for st in s.streams:
         if st.id not in ns.offsets:
-            raise MismatchedStreamsError(f"stream {st.id!r} is not scheduled")
+            raise FogweaverError(f"stream {st.id!r} is not scheduled")
         sign = SecurityTask(f"sec:{st.id}:sign", st.id, "sign", st.src,
-                            st.src in node_ids, cfg.sign_wcet_us,
+                            st.src in node_ids, SIGN_WCET_US,
                             st.period_us, st.criticality)
         verify = SecurityTask(f"sec:{st.id}:verify", st.id, "verify", st.dst,
-                              st.dst in node_ids, cfg.verify_wcet_us,
+                              st.dst in node_ids, VERIFY_WCET_US,
                               st.period_us, st.criticality)
         secured.append(SecuredStream(st.id, st.size_bytes,
                                      st.size_bytes + growth, sign, verify))
@@ -128,7 +126,7 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
         try:
             map_to_cores(list(apps), node.cores)
         except InfeasibleError as exc:
-            raise TaskPlacementInfeasibleError(
+            raise InfeasibleError(
                 f"node {node.id} cannot absorb its security tasks",
                 unplaced=exc.unplaced) from exc
 
@@ -143,7 +141,7 @@ def secured_delay(st: StreamSpec, ed_before_us, cfg: TeslaConfig,
     disclosed - at the end of the ``disclosure_delay``-th key interval
     after the one the frame was sent in - then verifies:
 
-        ed_after = ed_before + max(0, disclosure - ed_before) + verify_wcet
+        ed_after = ed_before + max(0, disclosure - ed_before) + VERIFY_WCET_US
 
     where ``disclosure = (floor(send_offset / I) + d + 1) * I`` with key
     interval ``I``, all relative to the frame's release. A zero
@@ -151,12 +149,12 @@ def secured_delay(st: StreamSpec, ed_before_us, cfg: TeslaConfig,
     """
     ed_before = Fraction(ed_before_us)
     if cfg.disclosure_delay == 0:
-        return ed_before + cfg.verify_wcet_us
+        return ed_before + VERIFY_WCET_US
     interval = Fraction(cfg.key_interval_us)
     send_interval = Fraction(send_offset_us) // interval
     disclosure = (send_interval + cfg.disclosure_delay + 1) * interval
     wait = max(Fraction(0), disclosure - ed_before)
-    return ed_before + wait + cfg.verify_wcet_us
+    return ed_before + wait + VERIFY_WCET_US
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def tesla_overhead_report(before: dict, after: dict) -> OverheadReport:
     if set(before) != set(after):
         only_before = sorted(set(before) - set(after))
         only_after = sorted(set(after) - set(before))
-        raise MismatchedStreamsError(
+        raise FogweaverError(
             f"stream sets differ (only in before: {only_before}, "
             f"only in after: {only_after})")
     rows = []

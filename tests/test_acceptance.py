@@ -31,7 +31,13 @@ from fogweaver.nodesched import (
 )
 from fogweaver.pipeline import synthesize_all_nodes
 from fogweaver.scenario import FogNodeSpec, validate
-from fogweaver.teslasec import TeslaConfig, apply_tesla, secured_delay, tesla_overhead_report
+from fogweaver.teslasec import (
+    VERIFY_WCET_US,
+    TeslaConfig,
+    apply_tesla,
+    secured_delay,
+    tesla_overhead_report,
+)
 
 SENSOR_EDS = {"S1 data": 60, "S2 data": 72, "S3 data": 52,
               "S4 data": 80, "S5 data": 44}
@@ -143,7 +149,7 @@ def test_criterion_5_tesla_consistency_and_properties():
                               send_offset_us=secured_ns.offsets[st.id])
         assert after >= before
         assert after - before < (cfg.disclosure_delay + 1) * cfg.key_interval_us \
-            + cfg.verify_wcet_us
+            + VERIFY_WCET_US
     _ok(5, "reference mean delta 1720.6 us (within 3 us of 1723); "
            "delay bounds and two-tasks-per-stream hold")
 

@@ -123,13 +123,28 @@ def test_pipeline_marks_a_give_up(uc1_file, tmp_path, monkeypatch, capsys):
     ["net-schedule", "UC1", "--seed", "1"],
     ["validate", "UC1", "-o", "out.json"],
     ["validate", "UC1", "--output", "out.json"],
+    ["pipeline", "UC1", "--d-hop", "0", "-o", "OUT"],
+    ["net-schedule", "UC1", "--d-hop", "0", "-o", "OUT"],
+    ["validate", "UC1", "--d-hop", "0"],
 ])
-def test_removed_options_are_rejected(uc1_file, capsys, argv):
-    argv = [str(uc1_file) if a == "UC1" else a for a in argv]
+def test_removed_options_are_rejected(uc1_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    argv = [{"UC1": str(uc1_file), "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"],
+                                  ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2  # argparse's usage error
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_net_schedule_subcommand(uc1_file, tmp_path):
@@ -186,15 +201,6 @@ def test_admit_subcommand_on_fixture_schedule(uc1_file, tmp_path):
     assert any(m["deadline_us"] == 12_000 for m in doc["misses"])
 
 
-def test_d_hop_override_changes_delays(uc1_file, tmp_path):
-    out = tmp_path / "net.json"
-    assert main(["net-schedule", str(uc1_file), "--d-hop", "0",
-                 "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    eds = {row["id"]: row["ed_us"] for row in doc["summary"]["streams"]}
-    assert eds["S1 data"] == 56  # pure wire time once forwarding is free
-
-
 def test_tesla_subcommand(uc1_file, tmp_path):
     out = tmp_path / "tesla.json"
     assert main(["tesla", str(uc1_file), "--interval", "1000",
@@ -209,12 +215,58 @@ def test_tesla_subcommand(uc1_file, tmp_path):
 UC1_REPORT_SHA256 = "6d68308359a0d4ff218837ed8b1b55ce2c375ce438039a2e5a94f92266ed4bf6"
 
 
+# sha256 of every file the uc1 pipeline writes with a chart directory, per
+# chart format; the JSON tables are the same in both
+_UC1_TABLES = {
+    "gcl.json": "3d119e282f52a0bd0cde7cfa9ba5861423978891f7c740bea57037ab961a656e",
+    "node_E1.json": "a8887fb383a13e8c463238cd6676bc6834cd4b68b2bfdbafb9ee348f23c92a9f",
+    "node_E2.json": "2dffdb8fc063a32dfe1a3f19d961e195f721691c99ab5bf1f6fc4a5b2958bd97",
+    "node_E3.json": "9865e0b323965fec225a03d681f0ea0b6568d41a440f40e0873d3dfc610d162e",
+    "node_E4.json": "d21fe2aba97521facf7112a21ea97133cf674b8ae6f3750a6328425a915e32aa",
+    "node_E5.json": "625b97b227044e38b61d2d645fc356670a04ce7cad8e21c0fb0395acb577b27b",
+}
+UC1_ARTEFACT_SHA256 = {
+    "svg": {
+        **_UC1_TABLES,
+        "report.json": UC1_REPORT_SHA256,
+        "net.svg": "b0a60348399bc339b81e820407a50cc2ce188839d4962b0a663cbdde81e0f72c",
+        "node_E1.svg": "63fefafa1e09ce0e96070709b07a464f6de191e232956c462bef88d853cc51b7",
+        "node_E2.svg": "0104f8bf7daecafc5a45fc6195d658288eb329ceb7c80118490a54d498bc7e1f",
+        "node_E3.svg": "d7a5720f24e48f866c09f712f831791cedfcc0397c645f374ca131732d17a48f",
+        "node_E4.svg": "e90766f8ed895cafaeeb1f07e7fa2c9d89924a6603c485e54f4e1134a89083cb",
+        "node_E5.svg": "792b9c4cc96b10cd462d458d470e16f26af881f040907c19cb36204e2261434b",
+    },
+    "ascii": {
+        **_UC1_TABLES,
+        "report.json": UC1_REPORT_SHA256,
+        "net.txt": "792e195ab02743f469baac737183f2f1cbae1bf6dda25e6bb77a1e62faf05742",
+        "node_E1.txt": "e46cb707c4a371101c78924e1213bd6390a21c23fb6793dcd7ce817eaed67a16",
+        "node_E2.txt": "a663563048f1b18ca4ac4a5cba1a4818b7425cd7a1011d420a62beb73c3378a3",
+        "node_E3.txt": "a922c13053bb08a4ab0f112e21d75b0979553c41829c0e9b36a5aa20f7bbec52",
+        "node_E4.txt": "97ec337f22aa272adffee844fec60eea23ad7b9d801d2b9759af5cb4797cb9da",
+        "node_E5.txt": "01d3f1bec9292663e37a13666db4e2ab2e2f48f109cf4cd130ceacb50e774f60",
+    },
+}
+
+
 def test_run_pipeline_api(uc1_file, tmp_path):
     out = tmp_path / "report.json"
     code, report = run_pipeline(uc1_file, out=out)
     assert code == 0
     assert report["scenario"]["streams"] == 10
     assert hashlib.sha256(out.read_bytes()).hexdigest() == UC1_REPORT_SHA256
+
+
+@pytest.mark.parametrize("gantt_format", ["svg", "ascii"])
+def test_every_uc1_artefact_is_pinned(uc1_file, tmp_path, gantt_format):
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _ = run_pipeline(uc1_file, out=out / "report.json", gantt_dir=out,
+                           gantt_format=gantt_format)
+    assert code == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+    assert written == UC1_ARTEFACT_SHA256[gantt_format]
 
 
 @pytest.mark.parametrize("command, verifier", [
@@ -284,16 +336,20 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
 @pytest.mark.parametrize("argv, dynamic", [
     (["tesla", "UC1", "--interval", "0"], None),
     (["tesla", "UC1", "--disclosure", "-1"], None),
-    (["net-schedule", "UC1", "--d-hop", "nan"], None),
-    (["pipeline", "UC1", "--d-hop", "inf"], None),
     (_admit(), {}),
     (_admit(), {"tasks": [{"wcet_us": 100, "period_ms": 10}]}),
     (_admit(), {"tasks": [{"id": "d", "period_ms": 10}]}),
     (_admit(), {"tasks": [{"id": "d", "wcet_us": 100}]}),
     (_admit(horizon="0"), _ONE_TASK),
     (_admit(core="7"), _ONE_TASK),  # E4 has two cores
-], ids=["interval-0", "disclosure-negative", "d-hop-nan", "d-hop-inf",
-        "no-tasks", "no-id", "no-wcet", "no-period", "horizon-0", "core-7"])
+    # usage errors: exit 1, never argparse's 2, which would read as infeasible
+    ([], None),
+    (["pipeline"], None),
+    (_admit(core="x"), _ONE_TASK),
+    (["net-schedule", "UC1", "--format", "png"], None),
+], ids=["interval-0", "disclosure-negative", "no-tasks", "no-id", "no-wcet",
+        "no-period", "horizon-0", "core-7", "no-command", "no-scenario",
+        "core-not-int", "format-png"])
 def test_bad_input_exits_1_with_one_line(uc1_file, tmp_path, capsys,
                                          argv, dynamic):
     dyn = tmp_path / "dynamic.json"

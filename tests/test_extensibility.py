@@ -163,7 +163,7 @@ def test_optimizer_output_always_verifies():
         apps = random_apps(rng, "N", max_apps=3, max_tasks=3,
                            total_util_limit=0.7)
         ns = _schedule(apps)
-        out = optimize_extensibility(ns, iteration_budget=40)
+        out = optimize_extensibility(ns)
         assert verify_node_schedule(out).ok
         for core in range(ns.cores):
             assert ext_metric(out, core) <= ext_metric(ns, core)

@@ -8,7 +8,7 @@ import pytest
 
 from gcl_reference import reference_search
 from genutil import brute_force_feasible, chain_scenario, line_scenario
-from fogweaver.errors import InfeasibleError, StreamNotScheduledError
+from fogweaver.errors import FogweaverError, InfeasibleError
 from fogweaver.gclsched import (
     NetSchedule,
     gcl_export,
@@ -158,7 +158,7 @@ def test_stream_metrics_s4(uc1, uc1_net):
 
 def test_stream_metrics_unscheduled_stream(uc1, uc1_net):
     ghost = StreamSpec("ghost", "S1", "E1", 100, 10_000, 0, ("S1", "W1", "E1"))
-    with pytest.raises(StreamNotScheduledError):
+    with pytest.raises(FogweaverError, match="^ghost$"):
         stream_metrics(uc1_net, ghost)
 
 

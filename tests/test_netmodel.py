@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fogweaver.errors import NoSuchLinkError
+from fogweaver.errors import FogweaverError
 from fogweaver.netmodel import (
     Route,
     lower_bound_delay,
@@ -31,7 +31,8 @@ def test_resolve_missing_link(uc1):
     broken = type(stream)(stream.id, "S1", "E2", stream.size_bytes,
                           stream.period_us, stream.criticality,
                           ("S1", "W2", "E2"))  # no S1->W2 link declared
-    with pytest.raises(NoSuchLinkError):
+    with pytest.raises(FogweaverError,
+                       match="^stream 'S1 data': no declared link S1 -> W2$"):
         resolve_route(uc1, broken)
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from fogweaver.cli import main
 from fogweaver.dsl import parse_scenario
-from fogweaver.errors import EmptyInputError, ScenarioSyntaxError
+from fogweaver.errors import FogweaverError, ScenarioSyntaxError
 from fogweaver.scenario import (
     ApplicationSpec,
     FogNodeSpec,
@@ -19,7 +20,6 @@ from fogweaver.scenario import (
     hyperperiod,
     scenario_to_text,
     validate,
-    with_params,
 )
 from fogweaver.units import fraction_to_decimal
 
@@ -160,7 +160,8 @@ def test_hyperperiod_table():
 
 
 def test_hyperperiod_empty_input():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(FogweaverError,
+                       match="^hyperperiod of an empty period set$"):
         hyperperiod([])
 
 
@@ -239,7 +240,8 @@ def test_round_trip_with_explicit_tasks_and_rates():
 def test_printer_rejects_a_value_with_no_decimal_form(uc1):
     assert fraction_to_decimal(Fraction(-7, 40)) == "-0.175"
     with pytest.raises(ValueError, match="1/3"):
-        scenario_to_text(with_params(uc1, d_hop_us=Fraction(1, 3)))
+        scenario_to_text(replace(uc1, params=replace(uc1.params,
+                                                     d_hop_us=Fraction(1, 3))))
 
 
 _IDS = st.sampled_from(["a", "b", "c", "d", "e"])
