@@ -47,6 +47,7 @@ from .pipeline import (
     EXIT_OK,
     EXIT_VALIDATION,
     extensibility_stage,
+    json_text,
     net_stage,
     node_stage,
     run_pipeline,
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json_text(payload) + "\n"
     if args.output:
         pathlib.Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -271,7 +272,7 @@ def cmd_pipeline(args) -> int:
         gantt_format=args.format,
     )
     if not args.output:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json_text(report) + "\n")
     if code == EXIT_VALIDATION:
         for line in report.get("validation", []):
             print(line, file=sys.stderr)

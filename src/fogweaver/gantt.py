@@ -6,11 +6,17 @@ form draws filled boxes for execution slices and frame windows, transparent
 outlines for partition windows and a small arrow head on slices that
 continue after preemption.
 Output is deterministic: no timestamps, no generated ids.
+
+Each schedule's times are read once, as whole multiples of 1/D us for the
+lcm D of their denominators; sorting, labels and coordinates then work on
+those integers. Python's int division is correctly rounded, so ``T / D``
+is the float ``float(Fraction(T, D))`` gives, and the output is the same
+as on ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .gclsched import NetSchedule
 from .nodesched import NodeSchedule
@@ -21,9 +27,20 @@ _PALETTE = [
 ]
 
 
-def _fmt(t) -> str:
-    f = Fraction(t)
-    return str(f.numerator) if f.denominator == 1 else f"{float(f):g}"
+def _base(times) -> int:
+    """The lcm ``D`` of the denominators of ``times``: each is a whole
+    multiple of 1/D us."""
+    return math.lcm(*{t.denominator for t in times})
+
+
+def _scaled(t, D: int) -> int:
+    return t.numerator * (D // t.denominator)
+
+
+def _fmt(T: int, D: int) -> str:
+    # int true division is correctly rounded, so T / D is the float that
+    # float(Fraction(T, D)) gives
+    return str(T // D) if T % D == 0 else f"{T / D:g}"
 
 
 def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"
@@ -32,20 +49,20 @@ def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"
     if format not in ("ascii", "svg"):
         raise ValueError(f"format must be 'ascii' or 'svg', got {format!r}")
     if isinstance(schedule, NetSchedule):
-        lanes = _net_lanes(schedule)
+        D, lanes = _net_lanes(schedule)
         span = schedule.cycle_us
         title = f"network schedule, cycle {span} us"
     else:
-        lanes = _node_lanes(schedule)
+        D, lanes = _node_lanes(schedule)
         span = schedule.major_frame_us
         title = (f"node {schedule.node} schedule, "
                  f"major frame {span} us")
     if format == "ascii":
-        return _ascii(title, span, lanes)
-    return _svg(title, span, lanes)
+        return _ascii(title, span, lanes, D)
+    return _svg(title, span, lanes, D)
 
 
-# Lane model shared by both renderers:
+# Lane model shared by both renderers, times in whole multiples of 1/D us:
 #   (lane label, boxes, outlines)
 #   box = (start, end, label, color_key, continues)  continues: the job
 #   runs again in a later slice (it was preempted)
@@ -53,70 +70,72 @@ def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"
 
 
 def _net_lanes(ns: NetSchedule):
+    D = _base(t for w in ns.windows for t in (w.open_us, w.close_us))
     per_link: dict[str, list] = {}
     for w in ns.windows:
-        per_link.setdefault(w.link, []).append(w)
-    lanes = []
-    for link_id in sorted(per_link):
-        boxes = [
-            (w.open_us, w.close_us, f"{w.stream} #{w.instance}", w.stream,
-             False)
-            for w in sorted(per_link[link_id],
-                            key=lambda w: (w.open_us, w.stream))
-        ]
-        lanes.append((link_id, boxes, []))
-    return lanes
+        per_link.setdefault(w.link, []).append(
+            (_scaled(w.open_us, D), _scaled(w.close_us, D),
+             f"{w.stream} #{w.instance}", w.stream, False))
+    lanes = [(link_id, sorted(per_link[link_id], key=lambda b: (b[0], b[3])), [])
+             for link_id in sorted(per_link)]
+    return D, lanes
 
 
 def _node_lanes(ns: NodeSchedule):
+    D = _base([t for sl in ns.slices for t in (sl.start_us, sl.end_us)]
+              + [t for p in ns.partitions for w in p.windows for t in w])
+    per_core: dict[int, list] = {}
+    for sl in ns.slices:
+        per_core.setdefault(sl.core, []).append(
+            (_scaled(sl.start_us, D), _scaled(sl.end_us, D), sl))
     lanes = []
     for core in range(ns.cores):
-        slices = ns.core_slices(core)
+        slices = sorted(per_core.get(core, ()), key=lambda r: r[0])
         # a job split over several slices continues after every slice but
         # its last one
-        last_slice: dict[tuple[str, int], Fraction] = {}
-        for sl in slices:
+        last_slice: dict[tuple[str, int], int] = {}
+        for _, end, sl in slices:
             key = (sl.task, sl.job_index)
-            if key not in last_slice or sl.end_us > last_slice[key]:
-                last_slice[key] = sl.end_us
+            if key not in last_slice or end > last_slice[key]:
+                last_slice[key] = end
         boxes = [
-            (sl.start_us, sl.end_us, f"{sl.task} #{sl.job_index}", sl.task,
-             last_slice[(sl.task, sl.job_index)] != sl.end_us)
-            for sl in slices
+            (start, end, f"{sl.task} #{sl.job_index}", sl.task,
+             last_slice[(sl.task, sl.job_index)] != end)
+            for start, end, sl in slices
         ]
         outlines = [
-            (w[0], w[1], p.id)
+            (_scaled(w[0], D), _scaled(w[1], D), p.id)
             for p in ns.partitions if p.core == core
             for w in p.windows
         ]
         outlines.sort(key=lambda o: (o[0], o[2]))
         lanes.append((f"core {core}", boxes, outlines))
-    return lanes
+    return D, lanes
 
 
-def _ascii(title: str, span, lanes) -> str:
+def _ascii(title: str, span: int, lanes, D: int) -> str:
     out = [f"== {title} =="]
-    out.append(f"   0 {'-' * 50} {_fmt(span)} us")
+    out.append(f"   0 {'-' * 50} {span} us")
     for label, boxes, outlines in lanes:
         out.append(f"{label}:")
         for start, end, text in outlines:
-            out.append(f"  (partition) [{_fmt(start)}, {_fmt(end)}) {text}")
+            out.append(f"  (partition) [{_fmt(start, D)}, {_fmt(end, D)}) {text}")
         for start, end, text, _key, continues in boxes:
             marks = " >" if continues else ""
-            out.append(f"  [{_fmt(start)}, {_fmt(end)}) {text}{marks}")
+            out.append(f"  [{_fmt(start, D)}, {_fmt(end, D)}) {text}{marks}")
         if not boxes and not outlines:
             out.append("  (empty)")
     return "\n".join(out) + "\n"
 
 
-def _svg(title: str, span, lanes) -> str:
+def _svg(title: str, span: int, lanes, D: int) -> str:
     width, lane_h, pad, label_w = 900.0, 34, 8, 150
     chart_w = width - label_w - 2 * pad
     height = pad * 2 + 22 + lane_h * max(len(lanes), 1)
     scale = chart_w / float(span) if span else 0.0
 
-    def x(t) -> float:
-        return round(label_w + pad + float(t) * scale, 2)
+    def x(T: int) -> float:
+        return round(label_w + pad + T / D * scale, 2)
 
     colors: dict[str, str] = {}
 
@@ -135,22 +154,24 @@ def _svg(title: str, span, lanes) -> str:
         y = y0 + i * lane_h
         parts.append(f'<text x="{pad}" y="{y + lane_h / 2:g}">{_esc(label)}</text>')
         parts.append(
-            f'<line x1="{x(0):g}" y1="{y + lane_h - 6}" x2="{x(span):g}" '
+            f'<line x1="{x(0):g}" y1="{y + lane_h - 6}" x2="{x(span * D):g}" '
             f'y2="{y + lane_h - 6}" stroke="#999" stroke-width="0.5"/>')
         for start, end, text in outlines:
+            xs = x(start)
             parts.append(
-                f'<rect x="{x(start):g}" y="{y + 1}" '
-                f'width="{max(x(end) - x(start), 0.5):g}" height="{lane_h - 6}" '
+                f'<rect x="{xs:g}" y="{y + 1}" '
+                f'width="{max(x(end) - xs, 0.5):g}" height="{lane_h - 6}" '
                 f'fill="none" stroke="#555" stroke-dasharray="3,2">'
                 f'<title>{_esc(text)}</title></rect>')
         for start, end, text, key, continues in boxes:
+            xs, xe = x(start), x(end)
             parts.append(
-                f'<rect x="{x(start):g}" y="{y + 5}" '
-                f'width="{max(x(end) - x(start), 0.8):g}" height="{lane_h - 14}" '
+                f'<rect x="{xs:g}" y="{y + 5}" '
+                f'width="{max(xe - xs, 0.8):g}" height="{lane_h - 14}" '
                 f'fill="{color(key)}" stroke="#333" stroke-width="0.5">'
-                f'<title>{_esc(text)} [{_fmt(start)}, {_fmt(end)})</title></rect>')
+                f'<title>{_esc(text)} [{_fmt(start, D)}, {_fmt(end, D)})</title></rect>')
             if continues:  # arrow head: job continues in a later slice
-                xe, ym = x(end), y + lane_h / 2 - 2
+                ym = y + lane_h / 2 - 2
                 parts.append(
                     f'<path d="M {xe:g} {ym - 4:g} L {xe + 5:g} {ym:g} '
                     f'L {xe:g} {ym + 4:g} Z" fill="#333"/>')

@@ -7,7 +7,7 @@ scheduled with preemptive EDF over the node's major frame, and maximal
 contiguous runs of same-criticality execution are wrapped into partition
 windows, yielding one partition per criticality level per core. The
 verifier re-derives every property of a finished schedule from the slices
-alone.
+alone, on an integer time base it derives from the schedule itself.
 """
 
 from __future__ import annotations
@@ -272,30 +272,53 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
     Verifies per-core non-overlap, full WCET before every deadline,
     criticality isolation, slice containment in partition windows,
     per-core window disjointness and the recorded utilization figures.
+
+    The checks run on integers: every slice and window bound and every
+    WCET is scaled once by the lcm ``D`` of their denominators, and each
+    recorded utilization is compared with ``busy / (D * frame)`` by
+    cross-multiplication. Multiplying by a positive number keeps equality
+    and order, so each verdict is the exact ``Fraction`` one; messages
+    print the original values or ``x / D``.
     """
     rb = ReportBuilder()
-    parts = {p.id: p for p in ns.partitions}
+    frame = ns.major_frame_us
+    D = math.lcm(*{t.denominator for sl in ns.slices for t in (sl.start_us, sl.end_us)},
+                 *{t.denominator for p in ns.partitions for w in p.windows for t in w},
+                 *{t.wcet_us.denominator for t in ns.tasks.values()})
+
+    def scaled(t) -> int:
+        return t.numerator * (D // t.denominator)
+
+    rows = [(sl, scaled(sl.start_us), scaled(sl.end_us)) for sl in ns.slices]
+    per_core: dict[int, list[tuple[TaskSlice, int, int]]] = {}
+    jobs: dict[tuple[str, int], list[tuple[TaskSlice, int, int]]] = {}
+    for row in rows:
+        sl = row[0]
+        per_core.setdefault(sl.core, []).append(row)
+        jobs.setdefault((sl.task, sl.job_index), []).append(row)
 
     for core in range(ns.cores):
-        slices = ns.core_slices(core)
-        for a, b in zip(slices, slices[1:]):
-            if b.start_us < a.end_us:
+        slices = sorted(per_core.get(core, ()), key=lambda r: r[1])
+        for (a, _, a_end), (b, b_start, _) in zip(slices, slices[1:]):
+            if b_start < a_end:
                 rb.add("core-overlap", f"{ns.node}.c{core}",
                        f"{a.task}#{a.job_index} [{a.start_us}, {a.end_us}) overlaps "
                        f"{b.task}#{b.job_index} [{b.start_us}, {b.end_us})")
-        wins = sorted(((w, p) for p in ns.partitions if p.core == core
-                       for w in p.windows), key=lambda wp: wp[0])
-        for (w1, p1), (w2, p2) in zip(wins, wins[1:]):
-            if w2[0] < w1[1]:
+        wins = sorted(((scaled(w[0]), scaled(w[1]), w, p) for p in ns.partitions
+                       if p.core == core for w in p.windows), key=lambda r: r[:2])
+        for (_, end1, w1, p1), (start2, _, w2, p2) in zip(wins, wins[1:]):
+            if start2 < end1:
                 rb.add("window-overlap", f"{ns.node}.c{core}",
                        f"partition {p1.id} window [{w1[0]}, {w1[1]}) overlaps "
                        f"{p2.id} window [{w2[0]}, {w2[1]})")
 
-    for sl in ns.slices:
-        if sl.end_us <= sl.start_us:
+    parts = {p.id: (p, [(scaled(w[0]), scaled(w[1])) for w in p.windows])
+             for p in ns.partitions}
+    for sl, start, end in rows:
+        if end <= start:
             rb.add("containment", sl.task, f"empty or inverted slice at {sl.start_us}")
         task = ns.tasks.get(sl.task)
-        part = parts.get(sl.partition)
+        part, part_wins = parts.get(sl.partition, (None, ()))
         if task is None or part is None:
             rb.add("reference", sl.task,
                    f"slice references unknown task or partition {sl.partition!r}")
@@ -305,48 +328,45 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
                    f"level-{task.criticality} task runs in level-{part.criticality} "
                    f"partition {part.id}")
         if part.core != sl.core or not any(
-                w[0] <= sl.start_us and sl.end_us <= w[1] for w in part.windows):
+                w0 <= start and end <= w1 for w0, w1 in part_wins):
             rb.add("containment", sl.task,
                    f"slice [{sl.start_us}, {sl.end_us}) on core {sl.core} is not "
                    f"inside a window of partition {part.id}")
 
-    jobs: dict[tuple[str, int], list[TaskSlice]] = {}
-    for sl in ns.slices:
-        jobs.setdefault((sl.task, sl.job_index), []).append(sl)
     for task in ns.tasks.values():
-        if ns.major_frame_us % task.period_us:
+        if frame % task.period_us:
             rb.add("frame", task.id,
-                   f"period {task.period_us} does not divide major frame "
-                   f"{ns.major_frame_us}")
+                   f"period {task.period_us} does not divide major frame {frame}")
             continue
-        for k in range(ns.major_frame_us // task.period_us):
+        wcet = scaled(task.wcet_us)
+        for k in range(frame // task.period_us):
             release = k * task.period_us
             deadline = release + task.deadline_us
-            job_slices = jobs.get((task.id, k), [])
-            inside = [sl for sl in job_slices
-                      if release <= sl.start_us and sl.end_us <= deadline]
-            if len(inside) != len(job_slices):
+            job = jobs.get((task.id, k), ())
+            if not all(release * D <= start and end <= deadline * D
+                       for _, start, end in job):
                 rb.add("deadline", task.id,
                        f"job {k} executes outside its window "
                        f"[{release}, {deadline})")
-            total = sum((sl.duration_us for sl in job_slices), Fraction(0))
-            if total != task.wcet_us:
+            total = sum(end - start for _, start, end in job)
+            if total != wcet:
                 rb.add("deadline", task.id,
-                       f"job {k} received {total} us of {task.wcet_us} us "
+                       f"job {k} received {Fraction(total, D)} us of {task.wcet_us} us "
                        f"before its deadline")
 
     for core in range(ns.cores):
-        busy = sum((sl.duration_us for sl in ns.slices if sl.core == core),
-                   Fraction(0))
-        expected = busy / ns.major_frame_us if ns.major_frame_us else Fraction(0)
+        busy = sum(end - start for _, start, end in per_core.get(core, ()))
+        # the utilization the slices give is num / den
+        num, den = (busy, D * frame) if frame else (0, 1)
         recorded = (ns.per_core_utilization[core]
                     if core < len(ns.per_core_utilization) else None)
-        if recorded != expected:
+        if (recorded is None
+                or recorded.numerator * den != num * recorded.denominator):
             rb.add("utilization", f"{ns.node}.c{core}",
-                   f"recorded utilization {recorded}, slices give {expected}")
-        if expected > 1:
+                   f"recorded utilization {recorded}, slices give {Fraction(num, den)}")
+        if num > den:
             rb.add("utilization", f"{ns.node}.c{core}",
-                   f"core is busy {float(expected):.3f} of the frame")
+                   f"core is busy {num / den:.3f} of the frame")
     return rb.build()
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .dsl import parse_scenario
@@ -57,6 +59,42 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# the text of each plain JSON scalar, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for values whose keys are strings,
+    written without the pure-Python encoder that ``indent`` selects."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {json_text(v, inner)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [inner + json_text(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    # a subclass of a scalar type; json.dumps raises TypeError for the rest
+    return json.dumps(value)
 
 
 def _verdict(verification: Report) -> str | list[str]:
@@ -174,12 +212,12 @@ def write_gantt(directory: str | pathlib.Path, gantt_format: str,
         (directory / f"net.{ext}").write_text(
             emit_gantt(ns, gantt_format), encoding="utf-8")
         (directory / "gcl.json").write_text(
-            json.dumps(gcl_export(ns), indent=2) + "\n", encoding="utf-8")
+            json_text(gcl_export(ns)) + "\n", encoding="utf-8")
     for n in schedules:
         (directory / f"node_{n.node}.{ext}").write_text(
             emit_gantt(n, gantt_format), encoding="utf-8")
         (directory / f"node_{n.node}.json").write_text(
-            json.dumps(node_schedule_to_json(n), indent=2) + "\n",
+            json_text(node_schedule_to_json(n)) + "\n",
             encoding="utf-8")
 
 
@@ -217,7 +255,7 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
     def finish(code: int, ns: NetSchedule | None = None,
                schedules=()) -> tuple[int, dict]:
         if out is not None:
-            pathlib.Path(out).write_text(json.dumps(report, indent=2) + "\n",
+            pathlib.Path(out).write_text(json_text(report) + "\n",
                                          encoding="utf-8")
         if gantt_dir is not None:
             write_gantt(gantt_dir, gantt_format, ns, schedules)

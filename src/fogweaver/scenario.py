@@ -10,8 +10,10 @@ Parsing from the textual description language lives in :mod:`fogweaver.dsl`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FogweaverError
 from .reporting import Report, ReportBuilder
@@ -167,16 +169,26 @@ class Scenario:
         raise KeyError(node_id)
 
     def stream(self, stream_id: str) -> StreamSpec:
-        for s in self.streams:
-            if s.id == stream_id:
-                return s
-        raise KeyError(stream_id)
+        return self._streams_by_id[stream_id]
 
     def link(self, src: str, dst: str) -> LinkSpec | None:
+        return self._links_by_ends.get((src, dst))
+
+    # built on first use; the first of several equal ids or ends wins, as
+    # in a scan (validate reports the duplicates)
+    @cached_property
+    def _streams_by_id(self) -> dict[str, StreamSpec]:
+        index: dict[str, StreamSpec] = {}
+        for st in self.streams:
+            index.setdefault(st.id, st)
+        return index
+
+    @cached_property
+    def _links_by_ends(self) -> dict[tuple[str, str], LinkSpec]:
+        index: dict[tuple[str, str], LinkSpec] = {}
         for l in self.links:
-            if l.src == src and l.dst == dst:
-                return l
-        return None
+            index.setdefault((l.src, l.dst), l)
+        return index
 
     def apps_on(self, node_id: str) -> tuple[ApplicationSpec, ...]:
         return tuple(a for a in self.applications if a.node == node_id)
@@ -263,7 +275,7 @@ def _check_identifiers(s: Scenario, rb: ReportBuilder) -> None:
     for label, ids in (("stream", [st.id for st in s.streams]),
                        ("application", [a.id for a in s.applications]),
                        ("link", [l.id for l in s.links])):
-        dupes = {i for i in ids if ids.count(i) > 1}
+        dupes = [i for i, n in Counter(ids).items() if n > 1]
         for d in sorted(dupes):
             rb.add("duplicate-id", d, f"{label} declared more than once")
 

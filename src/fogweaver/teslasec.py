@@ -69,7 +69,6 @@ class SecuredStream:
 
 @dataclass(frozen=True)
 class SecurityOverlay:
-    config: TeslaConfig
     streams: tuple[SecuredStream, ...]
 
     @property
@@ -130,7 +129,7 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
                 f"node {node.id} cannot absorb its security tasks",
                 unplaced=exc.unplaced) from exc
 
-    return SecurityOverlay(cfg, tuple(secured)), secured_scenario
+    return SecurityOverlay(tuple(secured)), secured_scenario
 
 
 def secured_delay(st: StreamSpec, ed_before_us, cfg: TeslaConfig,

@@ -38,7 +38,16 @@ def time_to_json(t: Time):
         return n
     # a multiple of 0.1 below 1e14 has at most 15 significant digits, so
     # its float survives the trip through a string (DBL_DIG) unchecked
-    if (10 % d == 0 and abs(n) < 10**14 * d) or Fraction(str(n / d)) == f:
+    if 10 % d == 0 and abs(n) < 10**14 * d:
+        return n / d
+    # n / d has a finite decimal form exactly when d divides 10**k; a value
+    # without one never equals the decimal a string holds
+    k = d.bit_length()
+    if pow(10, k, d):
+        return f"{n}/{d}"
+    # n / d is M / 10**k for a whole M, and |M| < 10**15 has at most 15
+    # significant digits, as above
+    if abs(n) * 10**k < 10**15 * d or Fraction(str(n / d)) == f:
         return n / d
     return f"{n}/{d}"
 

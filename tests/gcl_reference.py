@@ -1,4 +1,5 @@
-"""Reference copies of the GCL search, verifier and exporter on ``Fraction``.
+"""Reference copies of the GCL search, the verifiers, the GCL exporter and
+the Gantt renderer on ``Fraction``.
 
 ``synthesize_gcl`` runs its search on integer ticks. This module keeps the
 same search written directly on microsecond ``Fraction`` values, so tests
@@ -10,7 +11,9 @@ exercise them.
 own; ``reference_verify`` and ``reference_export`` are the same checks and
 the same export written on ``Fraction``, with the string round trip for
 every exported time, so tests can check that the integer base changes no
-verdict, message or byte.
+verdict, message or byte. ``verify_node_schedule`` and ``emit_gantt`` also
+scale their times to integers; ``reference_verify_node`` and
+``reference_emit_gantt`` are their checks and charts on ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import math
 from fractions import Fraction
 
 from fogweaver.errors import InfeasibleError
-from fogweaver.gclsched import DEFAULT_NODE_BUDGET, FrameWindow
+from fogweaver.gantt import _PALETTE, _esc
+from fogweaver.gclsched import DEFAULT_NODE_BUDGET, FrameWindow, NetSchedule
 from fogweaver.netmodel import resolve_route, transmission_time
 from fogweaver.reporting import ReportBuilder
 from fogweaver.scenario import hyperperiod
@@ -250,3 +254,209 @@ def reference_export(ns):
                      for w in sorted(per_link[link_id],
                                      key=lambda w: (w.open_us, w.stream))]}
         for link_id in sorted(per_link)]
+
+
+def reference_verify_node(ns):
+    """The node verifier's checks on plain ``Fraction`` arithmetic."""
+    rb = ReportBuilder()
+    parts = {p.id: p for p in ns.partitions}
+
+    for core in range(ns.cores):
+        slices = ns.core_slices(core)
+        for a, b in zip(slices, slices[1:]):
+            if b.start_us < a.end_us:
+                rb.add("core-overlap", f"{ns.node}.c{core}",
+                       f"{a.task}#{a.job_index} [{a.start_us}, {a.end_us}) overlaps "
+                       f"{b.task}#{b.job_index} [{b.start_us}, {b.end_us})")
+        wins = sorted(((w, p) for p in ns.partitions if p.core == core
+                       for w in p.windows), key=lambda wp: wp[0])
+        for (w1, p1), (w2, p2) in zip(wins, wins[1:]):
+            if w2[0] < w1[1]:
+                rb.add("window-overlap", f"{ns.node}.c{core}",
+                       f"partition {p1.id} window [{w1[0]}, {w1[1]}) overlaps "
+                       f"{p2.id} window [{w2[0]}, {w2[1]})")
+
+    for sl in ns.slices:
+        if sl.end_us <= sl.start_us:
+            rb.add("containment", sl.task, f"empty or inverted slice at {sl.start_us}")
+        task = ns.tasks.get(sl.task)
+        part = parts.get(sl.partition)
+        if task is None or part is None:
+            rb.add("reference", sl.task,
+                   f"slice references unknown task or partition {sl.partition!r}")
+            continue
+        if part.criticality != task.criticality:
+            rb.add("isolation", sl.task,
+                   f"level-{task.criticality} task runs in level-{part.criticality} "
+                   f"partition {part.id}")
+        if part.core != sl.core or not any(
+                w[0] <= sl.start_us and sl.end_us <= w[1] for w in part.windows):
+            rb.add("containment", sl.task,
+                   f"slice [{sl.start_us}, {sl.end_us}) on core {sl.core} is not "
+                   f"inside a window of partition {part.id}")
+
+    jobs = {}
+    for sl in ns.slices:
+        jobs.setdefault((sl.task, sl.job_index), []).append(sl)
+    for task in ns.tasks.values():
+        if ns.major_frame_us % task.period_us:
+            rb.add("frame", task.id,
+                   f"period {task.period_us} does not divide major frame "
+                   f"{ns.major_frame_us}")
+            continue
+        for k in range(ns.major_frame_us // task.period_us):
+            release = k * task.period_us
+            deadline = release + task.deadline_us
+            job_slices = jobs.get((task.id, k), [])
+            inside = [sl for sl in job_slices
+                      if release <= sl.start_us and sl.end_us <= deadline]
+            if len(inside) != len(job_slices):
+                rb.add("deadline", task.id,
+                       f"job {k} executes outside its window "
+                       f"[{release}, {deadline})")
+            total = sum((sl.duration_us for sl in job_slices), Fraction(0))
+            if total != task.wcet_us:
+                rb.add("deadline", task.id,
+                       f"job {k} received {total} us of {task.wcet_us} us "
+                       f"before its deadline")
+
+    for core in range(ns.cores):
+        busy = sum((sl.duration_us for sl in ns.slices if sl.core == core),
+                   Fraction(0))
+        expected = busy / ns.major_frame_us if ns.major_frame_us else Fraction(0)
+        recorded = (ns.per_core_utilization[core]
+                    if core < len(ns.per_core_utilization) else None)
+        if recorded != expected:
+            rb.add("utilization", f"{ns.node}.c{core}",
+                   f"recorded utilization {recorded}, slices give {expected}")
+        if expected > 1:
+            rb.add("utilization", f"{ns.node}.c{core}",
+                   f"core is busy {float(expected):.3f} of the frame")
+    return rb.build()
+
+
+def _ref_fmt(t) -> str:
+    f = Fraction(t)
+    return str(f.numerator) if f.denominator == 1 else f"{float(f):g}"
+
+
+def reference_emit_gantt(schedule, format):
+    """The chart ``emit_gantt`` draws, with every time a ``Fraction``."""
+    if isinstance(schedule, NetSchedule):
+        lanes = _ref_net_lanes(schedule)
+        span = schedule.cycle_us
+        title = f"network schedule, cycle {span} us"
+    else:
+        lanes = _ref_node_lanes(schedule)
+        span = schedule.major_frame_us
+        title = (f"node {schedule.node} schedule, "
+                 f"major frame {span} us")
+    if format == "ascii":
+        return _ref_ascii(title, span, lanes)
+    return _ref_svg(title, span, lanes)
+
+
+def _ref_net_lanes(ns):
+    per_link: dict[str, list] = {}
+    for w in ns.windows:
+        per_link.setdefault(w.link, []).append(w)
+    lanes = []
+    for link_id in sorted(per_link):
+        boxes = [
+            (w.open_us, w.close_us, f"{w.stream} #{w.instance}", w.stream,
+             False)
+            for w in sorted(per_link[link_id],
+                            key=lambda w: (w.open_us, w.stream))
+        ]
+        lanes.append((link_id, boxes, []))
+    return lanes
+
+
+def _ref_node_lanes(ns):
+    lanes = []
+    for core in range(ns.cores):
+        slices = ns.core_slices(core)
+        # a job split over several slices continues after every slice but
+        # its last one
+        last_slice: dict[tuple[str, int], Fraction] = {}
+        for sl in slices:
+            key = (sl.task, sl.job_index)
+            if key not in last_slice or sl.end_us > last_slice[key]:
+                last_slice[key] = sl.end_us
+        boxes = [
+            (sl.start_us, sl.end_us, f"{sl.task} #{sl.job_index}", sl.task,
+             last_slice[(sl.task, sl.job_index)] != sl.end_us)
+            for sl in slices
+        ]
+        outlines = [
+            (w[0], w[1], p.id)
+            for p in ns.partitions if p.core == core
+            for w in p.windows
+        ]
+        outlines.sort(key=lambda o: (o[0], o[2]))
+        lanes.append((f"core {core}", boxes, outlines))
+    return lanes
+
+
+def _ref_ascii(title: str, span, lanes) -> str:
+    out = [f"== {title} =="]
+    out.append(f"   0 {'-' * 50} {_ref_fmt(span)} us")
+    for label, boxes, outlines in lanes:
+        out.append(f"{label}:")
+        for start, end, text in outlines:
+            out.append(f"  (partition) [{_ref_fmt(start)}, {_ref_fmt(end)}) {text}")
+        for start, end, text, _key, continues in boxes:
+            marks = " >" if continues else ""
+            out.append(f"  [{_ref_fmt(start)}, {_ref_fmt(end)}) {text}{marks}")
+        if not boxes and not outlines:
+            out.append("  (empty)")
+    return "\n".join(out) + "\n"
+
+
+def _ref_svg(title: str, span, lanes) -> str:
+    width, lane_h, pad, label_w = 900.0, 34, 8, 150
+    chart_w = width - label_w - 2 * pad
+    height = pad * 2 + 22 + lane_h * max(len(lanes), 1)
+    scale = chart_w / float(span) if span else 0.0
+
+    def x(t) -> float:
+        return round(label_w + pad + float(t) * scale, 2)
+
+    colors: dict[str, str] = {}
+
+    def color(key: str) -> str:
+        if key not in colors:
+            colors[key] = _PALETTE[len(colors) % len(_PALETTE)]
+        return colors[key]
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
+        f'height="{height}" font-family="monospace" font-size="11">',
+        f'<text x="{pad}" y="{pad + 10}">{_esc(title)}</text>',
+    ]
+    y0 = pad + 22
+    for i, (label, boxes, outlines) in enumerate(lanes):
+        y = y0 + i * lane_h
+        parts.append(f'<text x="{pad}" y="{y + lane_h / 2:g}">{_esc(label)}</text>')
+        parts.append(
+            f'<line x1="{x(0):g}" y1="{y + lane_h - 6}" x2="{x(span):g}" '
+            f'y2="{y + lane_h - 6}" stroke="#999" stroke-width="0.5"/>')
+        for start, end, text in outlines:
+            parts.append(
+                f'<rect x="{x(start):g}" y="{y + 1}" '
+                f'width="{max(x(end) - x(start), 0.5):g}" height="{lane_h - 6}" '
+                f'fill="none" stroke="#555" stroke-dasharray="3,2">'
+                f'<title>{_esc(text)}</title></rect>')
+        for start, end, text, key, continues in boxes:
+            parts.append(
+                f'<rect x="{x(start):g}" y="{y + 5}" '
+                f'width="{max(x(end) - x(start), 0.8):g}" height="{lane_h - 14}" '
+                f'fill="{color(key)}" stroke="#333" stroke-width="0.5">'
+                f'<title>{_esc(text)} [{_ref_fmt(start)}, {_ref_fmt(end)})</title></rect>')
+            if continues:  # arrow head: job continues in a later slice
+                xe, ym = x(end), y + lane_h / 2 - 2
+                parts.append(
+                    f'<path d="M {xe:g} {ym - 4:g} L {xe + 5:g} {ym:g} '
+                    f'L {xe:g} {ym + 4:g} Z" fill="#333"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from fogweaver.netmodel import resolve_route, transmission_time
@@ -163,3 +164,85 @@ def random_apps(rng: random.Random, node: str, max_apps: int = 3,
 def random_node_instance(rng: random.Random, cores: int = 2):
     node = FogNodeSpec("N", cores=cores)
     return node, random_apps(rng, "N")
+
+
+# -- node schedule mutants ------------------------------------------------------
+
+# off-grid and on-grid amounts a node mutant moves a time by
+NODE_DELTAS = (Fraction(1, 7), Fraction(1, 3), -Fraction(1, 3), Fraction(1, 4),
+               Fraction(-2), Fraction(5), Fraction(40), Fraction(200))
+
+
+def mutate_node_schedule(rng: random.Random, ns):
+    """Apply one random change to a node schedule's slices, partitions,
+    tasks, recorded utilizations or frame."""
+    slices = list(ns.slices)
+    partitions = list(ns.partitions)
+    tasks = dict(ns.tasks)
+    util = list(ns.per_core_utilization)
+    frame = ns.major_frame_us
+    delta = rng.choice(NODE_DELTAS)
+    op = rng.randrange(12)
+    if op < 6 and slices:
+        i = rng.randrange(len(slices))
+        sl = slices[i]
+        if op == 0:    # move a slice
+            slices[i] = replace(sl, start_us=sl.start_us + delta,
+                                end_us=sl.end_us + delta)
+        elif op == 1:  # move one end of a slice
+            if rng.random() < 0.5:
+                slices[i] = replace(sl, start_us=sl.start_us + delta)
+            else:
+                slices[i] = replace(sl, end_us=sl.end_us + delta)
+        elif op == 2:  # drop a slice
+            del slices[i]
+        elif op == 3:  # duplicate a slice, in place or moved
+            shift = delta * rng.randint(0, 1)
+            slices.insert(rng.randrange(len(slices) + 1),
+                          replace(sl, start_us=sl.start_us + shift,
+                                  end_us=sl.end_us + shift))
+        elif op == 4:  # relabel the partition
+            slices[i] = replace(sl, partition=rng.choice(
+                [p.id for p in partitions] + ["ghost"]))
+        else:          # relabel the task, the core or the job
+            field = rng.choice(("task", "core", "job_index"))
+            value = {"task": rng.choice(list(tasks) + ["ghost"]),
+                     "core": rng.randrange(ns.cores + 1),
+                     "job_index": sl.job_index + rng.choice((-1, 1, 50))}[field]
+            slices[i] = replace(sl, **{field: value})
+    elif op == 6 and partitions:  # move a partition window, or one end
+        i = rng.randrange(len(partitions))
+        wins = list(partitions[i].windows)
+        if wins:
+            j = rng.randrange(len(wins))
+            lo, hi = wins[j]
+            wins[j] = rng.choice(((lo + delta, hi + delta), (lo + delta, hi),
+                                  (lo, hi + delta)))
+            partitions[i] = replace(partitions[i], windows=tuple(wins))
+    elif op == 7 and partitions:  # relabel a partition
+        i = rng.randrange(len(partitions))
+        field = rng.choice(("id", "criticality", "core"))
+        value = {"id": rng.choice([p.id for p in partitions] + ["ghost"]),
+                 "criticality": rng.randrange(5),
+                 "core": rng.randrange(ns.cores)}[field]
+        partitions[i] = replace(partitions[i], **{field: value})
+    elif op == 8 and tasks:  # change a WCET
+        tid = rng.choice(list(tasks))
+        tasks[tid] = replace(tasks[tid], wcet_us=tasks[tid].wcet_us + delta)
+    elif op == 9 and tasks:  # change a period or a deadline
+        tid = rng.choice(list(tasks))
+        field = rng.choice(("period_us", "deadline_us"))
+        value = getattr(tasks[tid], field)
+        tasks[tid] = replace(tasks[tid], **{field: rng.choice(
+            (value * 2, value // 2 or 1, value + 7, value - 1 or 1))})
+    elif op == 10 and util:  # change or drop a recorded utilization
+        if rng.random() < 0.2:
+            util.pop()
+        else:
+            core = rng.randrange(len(util))
+            util[core] += delta / 1000
+    else:  # change the major frame
+        frame = rng.choice((frame * 2, frame + 1, frame // 2, 0))
+    return replace(ns, slices=tuple(slices), partitions=tuple(partitions),
+                   tasks=tasks, per_core_utilization=tuple(util),
+                   major_frame_us=frame)

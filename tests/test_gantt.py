@@ -1,8 +1,18 @@
+import random
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
+from gcl_reference import reference_emit_gantt
+from genutil import line_scenario, mutate_node_schedule
+from fogweaver.errors import InfeasibleError
+from fogweaver.fixtures import extensibility_schedule
 from fogweaver.gantt import emit_gantt
 from fogweaver.scenario import Scenario
 from fogweaver.gclsched import synthesize_gcl
+
+FORMATS = ("ascii", "svg")
 
 
 def test_every_window_listed_exactly_once(uc1_net):
@@ -71,3 +81,61 @@ def test_rendering_is_deterministic(uc1_net, uc1_node_schedules):
     assert emit_gantt(uc1_net, "svg") == emit_gantt(uc1_net, "svg")
     ns = uc1_node_schedules[2]
     assert emit_gantt(ns, "ascii") == emit_gantt(ns, "ascii")
+
+
+# emit_gantt scales each schedule's times to whole multiples of 1/D us; the
+# Fraction renderer in gcl_reference is the oracle for every byte
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_charts_match_reference_on_uc1(uc1_net, uc1_node_schedules, fmt):
+    for schedule in (uc1_net, *uc1_node_schedules,
+                     extensibility_schedule("base"),
+                     extensibility_schedule("optimized")):
+        assert emit_gantt(schedule, fmt) == reference_emit_gantt(schedule, fmt)
+
+
+@pytest.mark.parametrize("d_hop", (0, Fraction(3, 10), Fraction(1, 3)))
+def test_net_charts_match_reference_on_line_networks(d_hop):
+    rng = random.Random(f"gantt {d_hop}")
+    checked = 0
+    for _ in range(30):
+        s = line_scenario(rng, d_hop=d_hop)
+        try:
+            ns = synthesize_gcl(s, node_budget=2000)
+        except InfeasibleError:
+            continue
+        for fmt in FORMATS:
+            assert emit_gantt(ns, fmt) == reference_emit_gantt(ns, fmt)
+        checked += 1
+    assert checked >= 10
+
+
+def test_net_charts_match_reference_on_tied_opens():
+    # windows of one link that open together are ordered by stream
+    rng = random.Random(9)
+    for _ in range(40):
+        s = line_scenario(rng, d_hop=Fraction(1, 3))
+        try:
+            ns = synthesize_gcl(s, node_budget=2000)
+        except InfeasibleError:
+            continue
+        windows = list(ns.windows)
+        for _ in range(3):
+            i, j = rng.randrange(len(windows)), rng.randrange(len(windows))
+            windows[i] = replace(windows[i], link=windows[j].link,
+                                 open_us=windows[j].open_us)
+        mutant = replace(ns, windows=tuple(windows))
+        for fmt in FORMATS:
+            assert emit_gantt(mutant, fmt) == reference_emit_gantt(mutant, fmt)
+
+
+def test_node_charts_match_reference_on_mutants(uc1_node_schedules):
+    # off-grid times such as 1/7 us, inverted slices and foreign cores
+    rng = random.Random(5)
+    for _ in range(100):
+        ns = rng.choice(uc1_node_schedules)
+        for _ in range(rng.randint(1, 3)):
+            ns = mutate_node_schedule(rng, ns)
+        for fmt in FORMATS:
+            assert emit_gantt(ns, fmt) == reference_emit_gantt(ns, fmt)

@@ -62,6 +62,22 @@ def test_duplicate_identifier_rejected():
         "[duplicate-id] W1: declared as node and switch"]
 
 
+def test_lookups_return_the_first_of_duplicates():
+    first, second = (StreamSpec("s", "A", "B", 64, 1000, 1, ("A", "B")),
+                     StreamSpec("s", "A", "B", 128, 2000, 2, ("A", "B")))
+    s = Scenario(switches=(SwitchSpec("A"), SwitchSpec("B")),
+                 links=(LinkSpec("A", "B", 10**6), LinkSpec("A", "B", 10**7)),
+                 streams=(first, second))
+    assert s.stream("s") is first
+    assert s.link("A", "B").rate_bps == 10**6
+    assert s.link("B", "A") is None
+    with pytest.raises(KeyError):
+        s.stream("t")
+    assert [str(v) for v in validate(s)] == [
+        "[duplicate-id] s: stream declared more than once",
+        "[duplicate-id] A->B: link declared more than once"]
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ScenarioSyntaxError) as exc:
         parse_scenario("switch W1\nnode !")

@@ -1,9 +1,10 @@
-"""The integer-base network verifier and exporter against ``Fraction`` copies.
+"""The integer-base verifiers and exporter against ``Fraction`` copies.
 
-``verify_net_schedule`` and ``gcl_export`` scale every time they read to
-whole multiples of 1/D us. These tests compare them with the ``Fraction``
-reference copies in ``gcl_reference`` on valid schedules and on seeded
-mutants whose times leave every grid the solver uses.
+``verify_net_schedule``, ``verify_node_schedule`` and ``gcl_export`` scale
+every time they read to whole multiples of 1/D us. These tests compare them
+with the ``Fraction`` reference copies in ``gcl_reference`` on valid
+schedules and on seeded mutants whose times leave every grid the solver
+uses.
 """
 
 import json
@@ -13,10 +14,19 @@ from fractions import Fraction
 
 import pytest
 
-from gcl_reference import reference_export, reference_time_to_json, reference_verify
-from genutil import line_scenario
+from gcl_reference import (
+    reference_export,
+    reference_time_to_json,
+    reference_verify,
+    reference_verify_node,
+)
+from genutil import line_scenario, mutate_node_schedule
 from fogweaver.errors import InfeasibleError
+from fogweaver.fixtures import extensibility_schedule
 from fogweaver.gclsched import gcl_export, synthesize_gcl, verify_net_schedule
+from fogweaver.nodesched import verify_node_schedule
+from fogweaver.pipeline import synthesize_all_nodes
+from fogweaver.teslasec import TeslaConfig, apply_tesla
 from fogweaver.units import time_to_json
 
 D_HOPS = (0, 2, Fraction(3, 10), Fraction(1, 3))
@@ -125,6 +135,40 @@ def test_verifier_matches_reference_on_mutants(uc1, uc1_net):
     assert set(seen) == KINDS, seen
 
 
+NODE_KINDS = {"core-overlap", "window-overlap", "containment", "reference",
+              "isolation", "frame", "deadline", "utilization"}
+
+
+def _node_bases(uc1_node_schedules):
+    return [*uc1_node_schedules, extensibility_schedule("base"),
+            extensibility_schedule("optimized")]
+
+
+def _assert_same_node(ns):
+    got, want = verify_node_schedule(ns), reference_verify_node(ns)
+    assert got.violations == want.violations
+    return got
+
+
+def test_node_verifier_matches_reference(uc1, uc1_net, uc1_node_schedules):
+    _, secured = apply_tesla(uc1, uc1_net, TeslaConfig())
+    for ns in _node_bases(uc1_node_schedules) + synthesize_all_nodes(secured):
+        assert _assert_same_node(ns).ok
+
+
+def test_node_verifier_matches_reference_on_mutants(uc1_node_schedules):
+    rng = random.Random(20261019)
+    bases = _node_bases(uc1_node_schedules)
+    seen: dict[str, int] = {}
+    for _ in range(1200):
+        ns = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            ns = mutate_node_schedule(rng, ns)
+        for kind in _assert_same_node(ns).kinds():
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == NODE_KINDS, seen
+
+
 def _old_and_new(value):
     old, new = reference_time_to_json(value), time_to_json(value)
     return (type(old), old), (type(new), new)
@@ -146,6 +190,13 @@ TIME_TABLE = [
     (Fraction("1234567890123456.5"), float),  # 17 digits, a double
     (Fraction("1234567890123456.7"), str),    # 17 digits
     (Fraction("9007199254740993.5"), str),    # 17 digits, above 2**53
+    (Fraction(1, 4), float),                  # off the 0.1 grid
+    (Fraction(-3, 8), float),
+    (Fraction(7, 12), str),                   # no finite decimal form
+    (Fraction(1, 2**30), str),                # 30 digits
+    (Fraction(1, 5**30), float),              # 1.073741824e-21
+    (Fraction(999999999999999, 4), float),    # 17 digits
+    (Fraction(999999999999999, 8), str),      # 18 digits
 ]
 
 
