@@ -48,10 +48,15 @@ from .scenario import (
     TaskSpec,
 )
 
+# blanks before a token are part of its match, so they cost no match of
+# their own; _BLANKS_RE skips those that no token follows, at the end of
+# the text or before an unexpected character
+_BLANKS_RE = re.compile(r"[^\S\n]*")
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[^\S\n]+)
-    | (?P<comment>\#[^\n]*)
+    [^\S\n]*
+    (?:
+      (?P<comment>\#[^\n]*)
     | (?P<nl>\n)
     | (?P<arrow>->)
     | (?P<lbrace>\{)
@@ -61,6 +66,7 @@ _TOKEN_RE = re.compile(
     | (?P<qty>(?P<amount>\d+(?:\.\d+)?)(?P<unit>Mbps|ms|us|B))
     | (?P<number>\d+(?:\.\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*(?:-(?!>)[A-Za-z0-9_.]*)*)
+    )
     """,
     re.VERBOSE,
 )
@@ -80,6 +86,11 @@ class _Token(NamedTuple):
     column: int
 
 
+def _literal(raw: str) -> Fraction:
+    # a whole number skips Fraction's string parser
+    return Fraction(int(raw)) if raw.isdigit() else Fraction(raw)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0  # line number and offset of its first character
@@ -87,21 +98,25 @@ def _tokenize(text: str) -> list[_Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
+            pos = _BLANKS_RE.match(text, pos).end()
+            if pos == len(text):
+                break
             raise ScenarioSyntaxError(f"unexpected character {text[pos]!r}",
                                       line, pos - line_start + 1)
         kind = m.lastgroup
         if kind == "nl":
             line, line_start = line + 1, m.end()
-        elif kind not in ("ws", "comment"):
-            raw = m.group()
+        elif kind != "comment":
+            raw = m.group(kind)
             value = unit = None
             if kind == "number":
-                value = Fraction(raw)
+                value = _literal(raw)
             elif kind == "qty":
-                value, unit = Fraction(m.group("amount")), m.group("unit")
+                value, unit = _literal(m.group("amount")), m.group("unit")
             elif kind == "string":
                 raw = raw[1:-1]
-            tokens.append(_Token(kind, raw, value, unit, line, pos - line_start + 1))
+            tokens.append(_Token(kind, raw, value, unit, line,
+                                 m.start(kind) - line_start + 1))
         pos = m.end()
     tokens.append(_Token("eof", "", None, None, line, pos - line_start + 1))
     return tokens

@@ -11,10 +11,19 @@ link, and chronological backtracking revisits earlier placements when a
 stream cannot be placed. Because the most critical streams are placed
 first, they are the ones pushed toward their delay lower bound.
 
+A stream whose delay lower bound exceeds its deadline is reported
+infeasible before the search starts.
+
 The search runs on exact integer ticks of 1/lcm(10, denominator of
 ``d_hop``) us: transmission times lie on the 0.1 us grid and periods and
 deadlines are whole microseconds, so every time it compares is a whole
-number of ticks. The accepted offsets are turned into ``Fraction`` offsets
+number of ticks. Each link's busy state holds one ``(start, period, tx)``
+entry per placed stream crossing it, not its windows over the cycle: every
+window lies inside its own period slot, so two window trains of periods
+``T`` and ``T'`` collide exactly when their starts collide modulo
+``gcd(T, T')`` (Korst, Aarts, Lenstra & Wessels 1991), and a candidate
+folds each entry modulo that gcd. Backtracking pops the entries of the
+latest placement. The accepted offsets are turned into ``Fraction`` offsets
 and windows once, at the end. The verifier re-checks a finished schedule
 exactly and shares no code with the solver: it derives an integer base of
 its own from its input, the lcm of the denominators of every time it
@@ -89,23 +98,27 @@ def _tick_windows(t: _TickStream, phi: int,
             yield k, link, base + shift
 
 
-def _forbidden_offsets(t: _TickStream, busy: dict[str, list[tuple[int, int]]],
+def _forbidden_offsets(t: _TickStream, busy: dict[str, list[tuple[int, int, int]]],
                        ) -> list[tuple[int, int]]:
-    """Open intervals of phi that collide with already-placed windows."""
+    """Open intervals of phi that collide with already-placed window trains.
+
+    A train ``(b, P, ptx)`` holds the windows ``[b + lP, b + lP + ptx)``;
+    the stream's windows on that link open at ``phi + shift + kT``. Over the
+    cycle ``kT - lP`` takes every multiple of ``g = gcd(T, P)``, and every
+    window lies inside its own period slot, so the two trains collide iff
+    ``b - shift - tx + m*g < phi < b - shift + ptx + m*g`` for some integer m.
+    """
     T, tx, phi_max = t.period, t.tx, t.phi_max
     out: list[tuple[int, int]] = []
     for link, shift in t.hops:
-        for b0, b1 in busy.get(link, ()):
-            # window [phi + kT + shift, phi + kT + shift + tx) overlaps
-            # [b0, b1) iff  b0 - kT - shift - tx < phi < b1 - kT - shift
-            k_lo = (b0 - shift - tx - phi_max) // T
-            k_hi = (b1 - shift) // T
-            for k in range(max(k_lo, 0), k_hi + 1):
-                lo = b0 - k * T - shift - tx
-                hi = b1 - k * T - shift
-                if hi <= 0 or lo >= phi_max:
-                    continue
+        for b, P, ptx in busy.get(link, ()):
+            g = math.gcd(T, P)
+            hi = (b - shift + ptx - 1) % g + 1  # the first end above 0
+            lo = hi - ptx - tx
+            while lo < phi_max:
                 out.append((lo, hi))
+                lo += g
+                hi += g
     out.sort()
     merged: list[tuple[int, int]] = []
     for lo, hi in out:
@@ -118,10 +131,8 @@ def _forbidden_offsets(t: _TickStream, busy: dict[str, list[tuple[int, int]]],
 
 
 def _offset_candidates(t: _TickStream, grid: int,
-                       busy: dict[str, list[tuple[int, int]]]) -> Iterator[int]:
+                       busy: dict[str, list[tuple[int, int, int]]]) -> Iterator[int]:
     """Feasible injection offsets in increasing order, on the ``grid``."""
-    if t.phi_max < 0:
-        return
     forbidden = _forbidden_offsets(t, busy)
     phi = 0
     idx = 0
@@ -140,7 +151,8 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
 
     Deterministic for a given scenario. Raises :class:`InfeasibleError`
     naming the streams that could not be placed when the search space or
-    the ``node_budget`` is exhausted (``gave_up`` tells the two apart).
+    the ``node_budget`` is exhausted (``gave_up`` tells the two apart), and
+    naming the stream alone when its delay lower bound exceeds its deadline.
     """
     if not s.streams:
         return NetSchedule(0, s.params.d_hop_us, {}, (), {})
@@ -159,15 +171,24 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
         route = resolve_route(s, st)
         tx = int(transmission_time(
             st.size_bytes, min(l.rate_bps for l in route.links)) * scale)
+        # the last window closes in its period slot, so busy trains fold
+        # exactly modulo the gcd of two periods
+        deadline = min(st.deadline_us, st.period_us)
+        bound = tx + route.hops * hop
+        if bound > deadline * scale:
+            raise InfeasibleError(
+                f"stream {st.id}: delay lower bound "
+                f"{time_to_json(Fraction(bound, scale))} us exceeds its "
+                f"deadline {deadline} us", unplaced=[st.id])
         ticks.append(_TickStream(
             period=st.period_us * scale,
             tx=tx,
             hops=tuple((link.id, j * hop) for j, link in enumerate(route.links)),
-            phi_max=st.deadline_us * scale - route.hops * hop - tx))
+            phi_max=deadline * scale - bound))
 
-    busy: dict[str, list[tuple[int, int]]] = {}
-    # busy-list lengths before each placement, so undoing it truncates them
-    undo: list[list[tuple[str, int]] | None] = [None] * len(order)
+    # one (start, period, tx) window train per placed stream and hop;
+    # backtracking undoes the latest placement, which owns each list's tail
+    busy: dict[str, list[tuple[int, int, int]]] = {}
     offsets: list[int | None] = [None] * len(order)
     gens: list[Iterator[int] | None] = [None] * len(order)
     nodes_tried = 0
@@ -186,17 +207,16 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
             gens[i] = None
             i -= 1
             if i >= 0:
-                for link, n in undo[i]:
-                    del busy[link][n:]
+                for link, _ in ticks[i].hops:
+                    busy[link].pop()
             continue
         nodes_tried += 1
         if nodes_tried > node_budget:
             raise InfeasibleError(
                 f"search budget of {node_budget} placements exhausted",
                 unplaced=[o.id for o in order[i:]], gave_up=True)
-        undo[i] = [(link, len(busy.setdefault(link, []))) for link, _ in t.hops]
-        for _, link, opn in _tick_windows(t, phi, cycle * scale):
-            busy[link].append((opn, opn + t.tx))
+        for link, shift in t.hops:
+            busy.setdefault(link, []).append((phi + shift, t.period, t.tx))
         offsets[i] = phi
         i += 1
 

@@ -118,23 +118,25 @@ def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
     """
     if cores < 1:
         raise ValueError(f"need at least one core, got {cores}")
-    tasks = sorted(node_tasks(apps), key=lambda t: (-t.utilization, t.id))
+    # each utilization is divided once, for the sort key and the fit test
+    tasks = sorted(((t.utilization, t) for t in node_tasks(apps)),
+                   key=lambda ut: (-ut[0], ut[1].id))
     load = [Fraction(0)] * cores
     on_core: list[list[NodeTask]] = [[] for _ in range(cores)]
     mapping: dict[str, int] = {}
     unplaced: list[str] = []
-    for t in tasks:
+    for u, t in tasks:
         for core in range(cores):
-            if (load[core] + t.utilization <= 1
+            if (load[core] + u <= 1
                     and _demand_fits(on_core[core] + [t])):
-                load[core] += t.utilization
+                load[core] += u
                 on_core[core].append(t)
                 mapping[t.id] = core
                 break
         else:
             unplaced.append(t.id)
     if unplaced:
-        total = sum((t.utilization for t in tasks), Fraction(0))
+        total = sum((u for u, _ in tasks), Fraction(0))
         raise InfeasibleError(
             f"cannot pack tasks onto {cores} cores "
             f"(total utilization {float(total):.3f})",

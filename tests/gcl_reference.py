@@ -5,7 +5,11 @@ the Gantt renderer on ``Fraction``.
 same search written directly on microsecond ``Fraction`` values, so tests
 can check that the tick conversion changes no offset, window or verdict.
 It also counts the search's backtracks, so tests can tell which instances
-exercise them.
+exercise them. Its busy lists hold every placed window over the cycle,
+where the solver holds one periodic entry per placed stream and hop.
+``expanded_forbidden_offsets`` folds such lists in ticks, the oracle for the
+solver's ``_forbidden_offsets``, and ``expanded_tick_search`` is the search
+on them in ticks, quick enough for budgets in the thousands.
 
 ``verify_net_schedule`` and ``gcl_export`` work on an integer base of their
 own; ``reference_verify`` and ``reference_export`` are the same checks and
@@ -23,7 +27,8 @@ from fractions import Fraction
 
 from fogweaver.errors import InfeasibleError
 from fogweaver.gantt import _PALETTE, _esc
-from fogweaver.gclsched import DEFAULT_NODE_BUDGET, FrameWindow, NetSchedule
+from fogweaver.gclsched import (DEFAULT_NODE_BUDGET, FrameWindow, NetSchedule,
+                                _TickStream)
 from fogweaver.netmodel import resolve_route, transmission_time
 from fogweaver.reporting import ReportBuilder
 from fogweaver.scenario import hyperperiod
@@ -74,10 +79,37 @@ def _forbidden_offsets(st, route, tx, d_hop, phi_max, busy):
     return merged
 
 
+def expanded_forbidden_offsets(t, busy):
+    """The solver's forbidden offsets of ``t`` (a ``_TickStream``), from
+    ``busy`` lists that hold every placed window ``(open, close)`` over the
+    cycle in ticks, each folded onto the stream's own period."""
+    T, tx, phi_max = t.period, t.tx, t.phi_max
+    out = []
+    for link, shift in t.hops:
+        for b0, b1 in busy.get(link, ()):
+            # window [phi + kT + shift, phi + kT + shift + tx) overlaps
+            # [b0, b1) iff  b0 - kT - shift - tx < phi < b1 - kT - shift
+            k_lo = (b0 - shift - tx - phi_max) // T
+            k_hi = (b1 - shift) // T
+            for k in range(max(k_lo, 0), k_hi + 1):
+                lo = b0 - k * T - shift - tx
+                hi = b1 - k * T - shift
+                if hi <= 0 or lo >= phi_max:
+                    continue
+                out.append((lo, hi))
+    out.sort()
+    merged = []
+    for lo, hi in out:
+        if merged and lo < merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def _offset_candidates(st, route, tx, d_hop, busy):
-    phi_max = Fraction(st.deadline_us) - route.hops * d_hop - tx
-    if phi_max < 0:
-        return
+    phi_max = min(st.deadline_us, st.period_us) - route.hops * d_hop - tx
     forbidden = _forbidden_offsets(st, route, tx, d_hop, phi_max, busy)
     phi = Fraction(0)
     idx = 0
@@ -102,6 +134,13 @@ def reference_search(s, node_budget=DEFAULT_NODE_BUDGET):
     tx = {st.id: transmission_time(
               st.size_bytes, min(l.rate_bps for l in routes[st.id].links))
           for st in order}
+    for st in order:
+        bound = tx[st.id] + routes[st.id].hops * d_hop
+        deadline = min(st.deadline_us, st.period_us)
+        if bound > deadline:
+            raise InfeasibleError(
+                f"stream {st.id}: delay lower bound {reference_time_to_json(bound)} us "
+                f"exceeds its deadline {deadline} us", unplaced=[st.id])
 
     busy = {}
     placed_windows = [None] * len(order)
@@ -148,6 +187,77 @@ def reference_search(s, node_budget=DEFAULT_NODE_BUDGET):
     windows = tuple(w for wins in placed_windows for w in wins)
     return ({st.id: offset_map[st.id] for st in s.streams}, windows,
             backtracks)
+
+
+def expanded_tick_search(s, node_budget=DEFAULT_NODE_BUDGET):
+    """Offsets (``Fraction`` us) of the solver's search on integer ticks as
+    it ran with every placed window over the cycle in its busy lists; raises
+    ``InfeasibleError`` as the solver does. Quick enough for budgets that
+    the ``Fraction`` search needs minutes for."""
+    d_hop = s.params.d_hop_us
+    scale = math.lcm(GRID_US.denominator, d_hop.denominator)
+    grid = scale // GRID_US.denominator
+    hop = int(d_hop * scale)
+    span = hyperperiod([st.period_us for st in s.streams]) * scale
+    order = sorted(s.streams, key=_priority_key)
+    ticks = []
+    for st in order:
+        route = resolve_route(s, st)
+        tx = int(transmission_time(
+            st.size_bytes, min(l.rate_bps for l in route.links)) * scale)
+        ticks.append(_TickStream(
+            st.period_us * scale, tx,
+            tuple((link.id, j * hop) for j, link in enumerate(route.links)),
+            min(st.deadline_us, st.period_us) * scale - route.hops * hop - tx))
+
+    def candidates(t, busy):
+        forbidden = expanded_forbidden_offsets(t, busy)
+        phi = idx = 0
+        while phi <= t.phi_max:
+            while idx < len(forbidden) and forbidden[idx][1] <= phi:
+                idx += 1
+            if idx < len(forbidden) and forbidden[idx][0] < phi < forbidden[idx][1]:
+                phi = -(-forbidden[idx][1] // grid) * grid
+                continue
+            yield phi
+            phi += grid
+
+    busy = {}
+    placed = [None] * len(order)  # (link, open) of each window a stream placed
+    offsets = [None] * len(order)
+    gens = [None] * len(order)
+    nodes_tried = deepest_failure = 0
+    i = 0
+    while 0 <= i < len(order):
+        t = ticks[i]
+        if gens[i] is None:
+            gens[i] = candidates(t, busy)
+        phi = next(gens[i], None)
+        if phi is None:
+            deepest_failure = max(deepest_failure, i)
+            gens[i] = None
+            i -= 1
+            if i >= 0:
+                for link, _ in placed[i]:  # its windows end every list
+                    busy[link].pop()
+            continue
+        nodes_tried += 1
+        if nodes_tried > node_budget:
+            raise InfeasibleError(
+                f"search budget of {node_budget} placements exhausted",
+                unplaced=[o.id for o in order[i:]], gave_up=True)
+        placed[i] = [(link, base + shift)
+                     for base in range(phi, phi + span, t.period)
+                     for link, shift in t.hops]
+        for link, opn in placed[i]:
+            busy.setdefault(link, []).append((opn, opn + t.tx))
+        offsets[i] = phi
+        i += 1
+    if i < 0:
+        raise InfeasibleError(
+            "no feasible offset assignment",
+            unplaced=[o.id for o in order[deepest_failure:]])
+    return {st.id: Fraction(phi, scale) for st, phi in zip(order, offsets)}
 
 
 def reference_verify(ns, s):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from fogweaver.netmodel import resolve_route, transmission_time
 from fogweaver.scenario import (
     ApplicationSpec,
+    EndpointSpec,
     FogNodeSpec,
     LinkSpec,
     ModelParams,
@@ -86,6 +87,40 @@ def line_scenario(rng: random.Random, d_hop=2,
         links=links,
         streams=tuple(streams),
         params=ModelParams(d_hop_us=d_hop),
+    )
+
+
+def switch_line_scenario(rng: random.Random, n_streams: int) -> Scenario:
+    """``n_streams`` streams from 30 sources to 10 sinks, each hung off a
+    random switch of a duplex line of six.
+
+    Sizes of 64, 200, 700 or 1500 B and periods of 1, 2, 5 or 10 ms, with
+    implicit deadlines: at 30-60 streams about one draw in seven runs out
+    of a budget of 100 placements although no link is full.
+    """
+    line = [f"W{i}" for i in range(6)]
+    links = []
+    for a, b in zip(line, line[1:]):
+        links += [LinkSpec(a, b), LinkSpec(b, a)]
+    sources = [f"S{i}" for i in range(30)]
+    sinks = [f"E{i}" for i in range(10)]
+    attached = {host: rng.randrange(len(line)) for host in sinks + sources}
+    for host, k in attached.items():
+        links += [LinkSpec(host, line[k]), LinkSpec(line[k], host)]
+    streams = []
+    for i in range(n_streams):
+        src, dst = rng.choice(sources), rng.choice(sinks)
+        a, b = attached[src], attached[dst]
+        step = 1 if b >= a else -1
+        route = (src, *(line[k] for k in range(a, b + step, step)), dst)
+        streams.append(StreamSpec(
+            f"f{i}", src, dst, rng.choice((64, 200, 700, 1500)),
+            rng.choice((1000, 2000, 5000, 10_000)), rng.randint(0, 4), route))
+    return Scenario(
+        switches=tuple(SwitchSpec(w) for w in line),
+        endpoints=tuple(EndpointSpec(h) for h in attached),
+        links=tuple(links),
+        streams=tuple(streams),
     )
 
 

@@ -101,6 +101,28 @@ def test_pipeline_infeasible_exits_2(tmp_path, capsys):
         "infeasible: no feasible offset assignment\n")
 
 
+_TIGHT = "switch A\nswitch B\nlink A -> B\n" + "".join(
+    f'stream "f{i}" {{ src A dst B size 64B period 1ms criticality 3 route A,B }}\n'
+    for i in range(7)) + (
+    'stream "tight" { src A dst B size 1500B period 1ms deadline 100us\n'
+    '                 criticality 0 route A,B }\n')
+
+
+def test_deadline_below_the_lower_bound_is_infeasible(tmp_path, capsys):
+    # 1500 B take 120 us on the wire, plus one 2 us hop: no offset can meet a
+    # 100 us deadline. Without the check up front the search would backtrack
+    # through the seven streams placed before it until its budget ran out.
+    path = tmp_path / "tight.fog"
+    path.write_text(_TIGHT)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["net-schedule", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "infeasible: stream tight: delay lower bound 122 us exceeds its "
+        "deadline 100 us\n"
+        "unplaced: tight\n")
+
+
 def test_pipeline_marks_a_give_up(uc1_file, tmp_path, monkeypatch, capsys):
     def give_up(s):
         raise InfeasibleError("search budget of 3 placements exhausted",

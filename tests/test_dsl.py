@@ -1,8 +1,13 @@
 """The scenario parser: syntax errors and their positions."""
 
-import pytest
+import re
+from fractions import Fraction
 
-from fogweaver.dsl import parse_scenario
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fogweaver.dsl import _tokenize, parse_scenario
 from fogweaver.errors import ScenarioSyntaxError
 
 # (document, line, column of the token the error names)
@@ -56,3 +61,82 @@ def test_property_given_twice_rejected(text, line, column):
     with pytest.raises(ScenarioSyntaxError, match="given twice") as exc:
         parse_scenario(text)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# -- the tokenizer against a copy that matched blanks on their own -----------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[^\S\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<nl>\n)
+    | (?P<arrow>->)
+    | (?P<lbrace>\{)
+    | (?P<rbrace>\})
+    | (?P<comma>,)
+    | (?P<string>"[^"\n]*")
+    | (?P<qty>(?P<amount>\d+(?:\.\d+)?)(?P<unit>Mbps|ms|us|B))
+    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*(?:-(?!>)[A-Za-z0-9_.]*)*)
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    """Tokens as tuples, or the (message, line, column) of the syntax error."""
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            return (f"unexpected character {text[pos]!r}", line,
+                    pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind not in ("ws", "comment"):
+            raw = m.group()
+            value = unit = None
+            if kind == "number":
+                value = Fraction(raw)
+            elif kind == "qty":
+                value, unit = Fraction(m.group("amount")), m.group("unit")
+            elif kind == "string":
+                raw = raw[1:-1]
+            tokens.append((kind, raw, value, unit, line, pos - line_start + 1))
+        pos = m.end()
+    tokens.append(("eof", "", None, None, line, pos - line_start + 1))
+    return tokens
+
+
+def _tokens_or_error(text):
+    try:
+        return [tuple(tok) for tok in _tokenize(text)]
+    except ScenarioSyntaxError as exc:
+        message = str(exc).split(": ", 1)[1]
+        assert str(exc) == f"{exc.line}:{exc.column}: {message}"
+        return (message, exc.line, exc.column)
+
+
+FRAGMENTS = st.sampled_from([
+    " ", "  ", "\t", "\r", "\x0b", " ", "\n", "\n\n", "# note", "#",
+    "->", "-", "{", "}", ",", '"a b"', '""', '"open', "W1", "S-1", "a.b",
+    "_x", "0", "7", "007", "12", "1.5", "0.25", "10.", "٣", "100B",
+    "1.5ms", "250us", "100Mbps", "2Mbps", "@", "$", ".",
+])
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.lists(FRAGMENTS, max_size=25))
+@example(["node", " ", "E1", "\t", "{", " ", "cores", " ", "2", " ", "}", "  "])
+@example(["W1", "   ", "@"])
+@example(["\n", "  ", "\t"])
+@example(["12", "٣"])
+def test_tokenizer_matches_reference(parts):
+    text = "".join(parts)
+    got = _tokens_or_error(text)
+    assert got == _reference_tokenize(text)
+    if isinstance(got, list):
+        assert all(type(tok[2]) in (Fraction, type(None)) for tok in got)

@@ -1,16 +1,23 @@
 import contextlib
+import math
 import random
 import signal
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from gcl_reference import reference_search
-from genutil import brute_force_feasible, chain_scenario, line_scenario
+from gcl_reference import (expanded_forbidden_offsets, expanded_tick_search,
+                           reference_search)
+from genutil import (brute_force_feasible, chain_scenario, line_scenario,
+                     switch_line_scenario)
 from fogweaver.errors import FogweaverError, InfeasibleError
 from fogweaver.gclsched import (
     NetSchedule,
+    _forbidden_offsets,
+    _TickStream,
     gcl_export,
     qoc_proxy,
     stream_metrics,
@@ -134,10 +141,23 @@ def test_node_budget_bounds_the_search():
 
 
 def test_impossible_deadline_is_infeasible():
-    # 120 us of wire time cannot meet a 50 us deadline
+    # 120 us of wire time plus a 2 us hop cannot meet a 50 us deadline; the
+    # check runs before the search and names that stream alone
+    first = StreamSpec("a", "A", "B", 64, 10_000, 4, ("A", "B"))
     st = StreamSpec("s", "A", "B", 1500, 10_000, 3, ("A", "B"), deadline_us=50)
-    with pytest.raises(InfeasibleError):
-        synthesize_gcl(_one_link_scenario([st]))
+    with pytest.raises(InfeasibleError) as exc:
+        synthesize_gcl(_one_link_scenario([first, st]))
+    assert str(exc.value) == ("stream s: delay lower bound 122 us exceeds its "
+                              "deadline 50 us")
+    assert exc.value.unplaced == ("s",)
+    assert not exc.value.gave_up
+
+
+def test_deadline_equal_to_the_lower_bound_is_scheduled():
+    st = StreamSpec("s", "A", "B", 1500, 10_000, 3, ("A", "B"), deadline_us=122)
+    ns = synthesize_gcl(_one_link_scenario([st]))
+    assert ns.offsets == {"s": 0}
+    assert ns.per_stream["s"].ed_us == 122
 
 
 def test_determinism_same_scenario_same_offsets(uc1):
@@ -328,6 +348,50 @@ def test_solver_succeeds_whenever_brute_force_does():
     assert feasible_seen >= 20  # the generator must actually exercise the claim
 
 
+# -- the folded busy trains against every window over the cycle -------------
+
+TICK_PERIODS = (200, 300, 400, 600, 700)  # non-harmonic: gcds of 100 and 200
+
+
+@hst.composite
+def _busy_and_stream(draw):
+    """A stream to place and, on three links, placed window trains that each
+    lie inside their own period slot: ``(b, P, ptx)`` with ``b + ptx <= P``."""
+    links = ("x", "y", "z")
+    trains = {}
+    for _ in range(draw(hst.integers(0, 8))):
+        P = draw(hst.sampled_from(TICK_PERIODS))
+        ptx = draw(hst.integers(1, P))
+        b = draw(hst.integers(0, P - ptx))
+        trains.setdefault(draw(hst.sampled_from(links)), []).append((b, P, ptx))
+    T = draw(hst.sampled_from(TICK_PERIODS))
+    route = draw(hst.lists(hst.sampled_from(links), min_size=1, max_size=3,
+                           unique=True))
+    hop = draw(hst.integers(0, T // 4 // len(route)))
+    last = (len(route) - 1) * hop
+    tx = draw(hst.integers(1, T - last))
+    phi_max = draw(hst.integers(0, T - last - tx))
+    t = _TickStream(T, tx, tuple((link, j * hop) for j, link in enumerate(route)),
+                    phi_max)
+    return trains, t
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_busy_and_stream())
+@example(({"x": [(0, 200, 50)]}, _TickStream(300, 60, (("x", 0),), 240)))
+@example(({"x": [(150, 200, 50), (0, 700, 100)]},
+          _TickStream(600, 100, (("x", 0),), 500)))
+@example(({"x": [(0, 200, 100)]}, _TickStream(400, 100, (("x", 0),), 300)))
+def test_folded_trains_forbid_what_expanded_windows_forbid(case):
+    trains, t = case
+    cycle = math.lcm(t.period, *(P for entries in trains.values()
+                                 for _, P, _ in entries))
+    windows = {link: [(b + l * P, b + l * P + ptx) for b, P, ptx in entries
+                      for l in range(cycle // P)]
+               for link, entries in trains.items()}
+    assert _forbidden_offsets(t, trains) == expanded_forbidden_offsets(t, windows)
+
+
 @contextlib.contextmanager
 def _time_limit(seconds):
     """Fail instead of hanging when a search stops advancing its offset."""
@@ -364,26 +428,60 @@ def _reference_outcome(s, budget):
     return ("schedule", offsets, windows), backtracks
 
 
+def _switch_line_draws(seed, count):
+    """``count`` switch-line networks of 30 to 60 streams, N by a stride."""
+    rng = random.Random(seed)
+    return [switch_line_scenario(rng, 30 + n * 13 % 31) for n in range(count)]
+
+
 def test_tick_search_matches_fraction_reference():
     # d_hop = 1/3 us puts window shifts off the 0.1 us grid, so rounding a
     # forbidden interval's end to the grid matters; 0.3 us keeps them on it
     rng = random.Random(11)
     seen = {"backtracked": 0, "gave up": 0, "proved infeasible": 0}
-    for d_hop in (0, 2, Fraction(3, 10), Fraction(1, 3)):
-        for n in range(30):
-            s = (line_scenario(rng, d_hop) if n % 3 else
-                 chain_scenario(rng, max_streams=4, d_hop=d_hop))
-            budget = 10 if n % 5 == 0 else 400
-            expected, backtracks = _reference_outcome(s, budget)
-            with _time_limit(10):
-                assert _tick_outcome(s, budget) == expected
-            if expected[0] == "schedule":
-                seen["backtracked"] += backtracks > 0
-            elif "budget" in expected[1]:
-                seen["gave up"] += 1
-            else:
-                seen["proved infeasible"] += 1
+    small = [((line_scenario(rng, d_hop) if n % 3 else
+               chain_scenario(rng, max_streams=4, d_hop=d_hop)),
+              10 if n % 5 == 0 else 400)
+             for d_hop in (0, 2, Fraction(3, 10), Fraction(1, 3))
+             for n in range(30)]
+    # the Fraction search takes 15-50 s to give up at 2000 placements on
+    # these; test_folded_search_matches_expanded_search runs that budget
+    line = [(s, 100) for s in _switch_line_draws(7, 27)]
+    line_gave_up = 0
+    for s, budget in small + line:
+        expected, backtracks = _reference_outcome(s, budget)
+        with _time_limit(10):
+            assert _tick_outcome(s, budget) == expected
+        if expected[0] == "schedule":
+            seen["backtracked"] += backtracks > 0
+        elif "budget" in expected[1]:
+            seen["gave up"] += 1
+            line_gave_up += budget == 100
+        else:
+            seen["proved infeasible"] += 1
     assert min(seen.values()) >= 3, seen
+    assert line_gave_up >= 5
+
+
+def _search_outcome(s, budget, search):
+    try:
+        return ("schedule", search(s, budget))
+    except InfeasibleError as exc:
+        return ("infeasible", str(exc), exc.unplaced, exc.gave_up)
+
+
+def test_folded_search_matches_expanded_search():
+    # one periodic busy entry per placed stream and hop gives the offsets
+    # and the give-ups of the search that kept every window over the cycle
+    gave_up = {100: 0, 2000: 0}
+    for s in _switch_line_draws(7, 27):
+        for budget in gave_up:
+            expected = _search_outcome(s, budget, expanded_tick_search)
+            with _time_limit(10):
+                assert _search_outcome(
+                    s, budget, lambda s, b: synthesize_gcl(s, b).offsets) == expected
+            gave_up[budget] += expected[0] == "infeasible" and expected[3]
+    assert min(gave_up.values()) >= 5, gave_up
 
 
 def test_gcl_export_schema(uc1_net):
