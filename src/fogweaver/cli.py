@@ -211,8 +211,10 @@ def _load_dynamic_tasks(path: str) -> list[TaskSpec]:
         raise FogweaverError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # not JSON, or a wrong type
         raise FogweaverError(f"{path}: {exc}") from None
-    if not all(isinstance(t.period_us, int) and isinstance(t.deadline_us, int)
-               for t in tasks):
+    # JSON true and false load as bool, which Python counts as an int, and
+    # a period_ms of true would pass as 1000 us
+    if not all(type(v) is int for t, row in zip(tasks, doc["tasks"])
+               for v in (t.period_us, t.deadline_us, row.get("period_ms", 0))):
         raise FogweaverError(f"{path}: periods and deadlines must be whole "
                              f"microseconds")
     return tasks

@@ -7,7 +7,8 @@ frame (0 = perfectly even). The optimizer is a deterministic local search
 that slides execution slices inside their jobs' feasibility windows to
 shrink that deviation. Admission simulates dynamic, non-critical tasks
 running EDF strictly inside the static schedule's idle gaps; the static
-slices are never touched.
+slices are never touched. The metric and the optimizer both score idle
+gaps in whole ticks of ``units.time_base``, exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .nodesched import (
     verify_node_schedule,
 )
 from .scenario import TaskSpec
-from .units import GRID_US, lcm_all
+from .units import GRID_US, lcm_all, time_base, to_ticks
 
 DYNAMIC_PARTITION = "dynamic"  # dynamic tasks run outside static partitions
 ITERATION_BUDGET = 200  # accepted moves per hill climb
@@ -66,12 +67,13 @@ class AdmissionReport:
         }
 
 
-def _idle_gaps(busy_sorted, frame: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _idle_gaps(busy_sorted, frame):
     """The idle (start, end) gaps of [0, frame) around a start-sorted list
-    of busy (start, end) intervals. The cursor sits at the latest end seen,
-    so overlapping or touching intervals leave no gap between them."""
+    of busy (start, end) intervals, ints or Fractions. The cursor sits at
+    the latest end seen, so overlapping or touching intervals leave no gap
+    between them."""
     gaps = []
-    cursor = Fraction(0)
+    cursor = 0
     for s, e in busy_sorted:
         if s > cursor:
             gaps.append((cursor, s))
@@ -88,25 +90,23 @@ def idle_profile(ns: NodeSchedule, core: int) -> IdleProfile:
     return IdleProfile(core, tuple(gaps))
 
 
-def _gap_variance(busy_sorted, frame: Fraction) -> tuple[int, Fraction]:
-    """(gap count, exact population variance of the idle-gap durations)
-    for a start-sorted list of busy (start, end) intervals."""
-    gaps = [b - a for a, b in _idle_gaps(busy_sorted, frame)]
+def ext_metric(ns: NodeSchedule, core: int) -> float:
+    """Normalized deviation of idle-gap durations; 0 when fewer than two gaps.
+
+    With ``n`` gaps of ``T`` ticks of ``1/D`` us in all and ``q`` the sum
+    of their squares, the variance is the exact ``(q*n - T**2) / (n*D)**2``
+    us squared, and ``float`` rounds it once.
+    """
+    ordered = ns.core_slices(core)
+    D = time_base((t for sl in ordered for t in (sl.start_us, sl.end_us)))
+    gaps = [b - a for a, b in _idle_gaps(
+        [(to_ticks(sl.start_us, D), to_ticks(sl.end_us, D)) for sl in ordered],
+        ns.major_frame_us * D)]
     n = len(gaps)
     if n < 2:
-        return n, Fraction(0)
-    mean = sum(gaps, Fraction(0)) / n
-    var = sum(((g - mean) ** 2 for g in gaps), Fraction(0)) / n
-    return n, var
-
-
-def ext_metric(ns: NodeSchedule, core: int) -> float:
-    """Normalized deviation of idle-gap durations; 0 when fewer than two gaps."""
-    n, var = _gap_variance(
-        [(sl.start_us, sl.end_us) for sl in ns.core_slices(core)],
-        Fraction(ns.major_frame_us))
-    if n < 2:
         return 0.0
+    total, q = sum(gaps), sum(g * g for g in gaps)
+    var = Fraction(q * n - total * total, (n * D) ** 2)
     return math.sqrt(float(var)) / ns.major_frame_us
 
 
@@ -220,27 +220,26 @@ def _optimize_core(ns: NodeSchedule, core: int) -> list[TaskSlice] | None:
     layout comes first and wins ties with the climb from the even spread.
 
     The core is converted once to exact integer ticks of ``1/scale`` us:
-    the lcm of the grid denominator and of every denominator of the slice
-    bounds, times the slice count plus one so that the even-spread gap is
-    a whole number of ticks too. A layout is the list of slice starts in
-    chronological order.
+    the time base of the grid and of the slice bounds, times the slice
+    count plus one so that the even-spread gap is a whole number of ticks
+    too. A layout is the list of slice starts in chronological order.
     """
     ordered = ns.core_slices(core)
     if not ordered:
         return None
-    scale = math.lcm(GRID_US.denominator,
-                     *(t.denominator for sl in ordered
-                       for t in (sl.start_us, sl.end_us))) * (len(ordered) + 1)
+    scale = time_base((GRID_US,), (t for sl in ordered
+                                   for t in (sl.start_us, sl.end_us)))
+    scale *= len(ordered) + 1
     frame = ns.major_frame_us * scale
-    starts = [int(sl.start_us * scale) for sl in ordered]
-    durations = [int(sl.end_us * scale) - s for sl, s in zip(ordered, starts)]
+    starts = [to_ticks(sl.start_us, scale) for sl in ordered]
+    durations = [to_ticks(sl.end_us, scale) - s for sl, s in zip(ordered, starts)]
     windows = []
     for sl in ordered:
         task = ns.tasks[sl.task]
         release = sl.job_index * task.period_us
         windows.append((release * scale, (release + task.deadline_us) * scale))
 
-    grid = scale // GRID_US.denominator
+    grid = to_ticks(GRID_US, scale)
     # a climb accepts only strictly better moves, so it scores below its
     # start exactly when it moved
     best, best_var = _climb(starts, durations, windows, frame, grid,

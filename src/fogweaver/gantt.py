@@ -7,34 +7,23 @@ outlines for partition windows and a small arrow head on slices that
 continue after preemption.
 Output is deterministic: no timestamps, no generated ids.
 
-Each schedule's times are read once, as whole multiples of 1/D us for the
-lcm D of their denominators; sorting, labels and coordinates then work on
-those integers. Python's int division is correctly rounded, so ``T / D``
-is the float ``float(Fraction(T, D))`` gives, and the output is the same
-as on ``Fraction``.
+Each schedule's times are read once, as whole ticks of 1/D us for the
+``units.time_base`` D of the schedule; sorting, labels and coordinates
+then work on those integers. Python's int division is correctly rounded,
+so ``T / D`` is the float ``float(Fraction(T, D))`` gives, and the output
+is the same as on ``Fraction``.
 """
 
 from __future__ import annotations
 
-import math
-
 from .gclsched import NetSchedule
 from .nodesched import NodeSchedule
+from .units import time_base, to_ticks
 
 _PALETTE = [
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2",
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 ]
-
-
-def _base(times) -> int:
-    """The lcm ``D`` of the denominators of ``times``: each is a whole
-    multiple of 1/D us."""
-    return math.lcm(*{t.denominator for t in times})
-
-
-def _scaled(t, D: int) -> int:
-    return t.numerator * (D // t.denominator)
 
 
 def _fmt(T: int, D: int) -> str:
@@ -70,11 +59,11 @@ def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"
 
 
 def _net_lanes(ns: NetSchedule):
-    D = _base(t for w in ns.windows for t in (w.open_us, w.close_us))
+    D = time_base(t for w in ns.windows for t in (w.open_us, w.close_us))
     per_link: dict[str, list] = {}
     for w in ns.windows:
         per_link.setdefault(w.link, []).append(
-            (_scaled(w.open_us, D), _scaled(w.close_us, D),
+            (to_ticks(w.open_us, D), to_ticks(w.close_us, D),
              f"{w.stream} #{w.instance}", w.stream, False))
     lanes = [(link_id, sorted(per_link[link_id], key=lambda b: (b[0], b[3])), [])
              for link_id in sorted(per_link)]
@@ -82,12 +71,12 @@ def _net_lanes(ns: NetSchedule):
 
 
 def _node_lanes(ns: NodeSchedule):
-    D = _base([t for sl in ns.slices for t in (sl.start_us, sl.end_us)]
-              + [t for p in ns.partitions for w in p.windows for t in w])
+    D = time_base((t for sl in ns.slices for t in (sl.start_us, sl.end_us)),
+                  (t for p in ns.partitions for w in p.windows for t in w))
     per_core: dict[int, list] = {}
     for sl in ns.slices:
         per_core.setdefault(sl.core, []).append(
-            (_scaled(sl.start_us, D), _scaled(sl.end_us, D), sl))
+            (to_ticks(sl.start_us, D), to_ticks(sl.end_us, D), sl))
     lanes = []
     for core in range(ns.cores):
         slices = sorted(per_core.get(core, ()), key=lambda r: r[0])
@@ -104,7 +93,7 @@ def _node_lanes(ns: NodeSchedule):
             for start, end, sl in slices
         ]
         outlines = [
-            (_scaled(w[0], D), _scaled(w[1], D), p.id)
+            (to_ticks(w[0], D), to_ticks(w[1], D), p.id)
             for p in ns.partitions if p.core == core
             for w in p.windows
         ]

@@ -26,9 +26,9 @@ folds each entry modulo that gcd. Backtracking pops the entries of the
 latest placement. The accepted offsets are turned into ``Fraction`` offsets
 and windows once, at the end. The verifier re-checks a finished schedule
 exactly and shares no code with the solver: it derives an integer base of
-its own from its input, the lcm of the denominators of every time it
-reads, and runs every check on integers. The exporter sorts each port on
-an exact integer key the same way.
+its own from its input with ``units.time_base``, the lcm of the
+denominators of every time it reads, and runs every check on integers.
+The exporter sorts each port on an exact integer key the same way.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import FogweaverError, InfeasibleError
 from .netmodel import resolve_route, transmission_time
 from .reporting import Report, ReportBuilder
 from .scenario import Scenario, StreamSpec, hyperperiod
-from .units import GRID_US, time_to_json
+from .units import GRID_US, time_base, time_to_json, to_ticks
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -163,14 +163,14 @@ def synthesize_gcl(s: Scenario, node_budget: int = DEFAULT_NODE_BUDGET) -> NetSc
 
     # one tick is 1/scale us: transmission times lie on the 0.1 us grid,
     # periods and deadlines are whole us, so every search time is a whole tick
-    scale = math.lcm(GRID_US.denominator, d_hop.denominator)
-    grid = scale // GRID_US.denominator
-    hop = int(d_hop * scale)
+    scale = time_base((GRID_US, d_hop))
+    grid = to_ticks(GRID_US, scale)
+    hop = to_ticks(d_hop, scale)
     ticks = []
     for st in order:
         route = resolve_route(s, st)
-        tx = int(transmission_time(
-            st.size_bytes, min(l.rate_bps for l in route.links)) * scale)
+        tx = to_ticks(transmission_time(
+            st.size_bytes, min(l.rate_bps for l in route.links)), scale)
         # the last window closes in its period slot, so busy trains fold
         # exactly modulo the gcd of two periods
         deadline = min(st.deadline_us, st.period_us)
@@ -291,20 +291,15 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
                                min(l.rate_bps for l in route.links))
         plan.append((st, phi, [l.id for l in route.links], tx))
 
-    dens = {w.open_us.denominator for w in ns.windows}
-    dens.update(w.close_us.denominator for w in ns.windows)
-    dens.update(phi.denominator for phi in ns.offsets.values())
-    dens.update(v.denominator for st, phi, _, tx in plan if phi is not None
-                for v in (tx, st.period_us, st.deadline_us))
-    D = math.lcm(d_hop.denominator, ns.cycle_us.denominator, *dens)
-
-    def scaled(t) -> int:
-        return t.numerator * (D // t.denominator)
+    D = time_base((d_hop, ns.cycle_us), ns.offsets.values(),
+                  (t for w in ns.windows for t in (w.open_us, w.close_us)),
+                  (v for st, phi, _, tx in plan if phi is not None
+                   for v in (tx, st.period_us, st.deadline_us)))
 
     per_link: dict[str, list[tuple[FrameWindow, int, int]]] = {}
     per_stream: dict[str, list[tuple[FrameWindow, int, int]]] = {}
     for w in ns.windows:
-        row = (w, scaled(w.open_us), scaled(w.close_us))
+        row = (w, to_ticks(w.open_us, D), to_ticks(w.close_us, D))
         per_link.setdefault(w.link, []).append(row)
         per_stream.setdefault(w.stream, []).append(row)
 
@@ -316,8 +311,8 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
                        f"{a.stream}#{a.instance} [{a.open_us}, {a.close_us}) overlaps "
                        f"{b.stream}#{b.instance} [{b.open_us}, {b.close_us})")
 
-    hop = scaled(d_hop)
-    cycle = scaled(ns.cycle_us)
+    hop = to_ticks(d_hop, D)
+    cycle = to_ticks(ns.cycle_us, D)
     for st, phi, link_order, tx in plan:
         if phi is None:
             rb.add("missing", st.id, "stream has no offset or no windows")
@@ -334,8 +329,8 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
                 rb.add("containment", st.id,
                        f"window of instance {k} on {link_id} is not one of "
                        f"the {instances} instances on the route")
-        phi_d, tx_d, T_d = scaled(phi), scaled(tx), scaled(T)
-        deadline = scaled(st.deadline_us)
+        phi_d, tx_d, T_d = to_ticks(phi, D), to_ticks(tx, D), to_ticks(T, D)
+        deadline = to_ticks(st.deadline_us, D)
         arrivals = []  # the delay of each instance, scaled
         for k in range(instances):
             release = k * T_d
@@ -394,19 +389,15 @@ def qoc_proxy(ns: NetSchedule, s: Scenario) -> Fraction:
 
 def gcl_export(ns: NetSchedule) -> list[dict]:
     """One JSON-ready object per egress port, entries sorted by open time."""
-    # sort on opens scaled to whole multiples of 1/D us, an exact integer key
-    D = math.lcm(*{w.open_us.denominator for w in ns.windows})
-
-    def scaled_open(w: FrameWindow) -> int:
-        return w.open_us.numerator * (D // w.open_us.denominator)
-
+    # sort on opens in whole ticks of 1/D us, an exact integer key
+    D = time_base(w.open_us for w in ns.windows)
     per_link: dict[str, list[FrameWindow]] = {}
     for w in ns.windows:
         per_link.setdefault(w.link, []).append(w)
     out = []
     for link_id in sorted(per_link):
         entries = sorted(per_link[link_id],
-                         key=lambda w: (scaled_open(w), w.stream))
+                         key=lambda w: (to_ticks(w.open_us, D), w.stream))
         out.append({
             "port": link_id,
             "cycle_us": ns.cycle_us,

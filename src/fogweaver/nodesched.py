@@ -2,25 +2,26 @@
 
 Each fog node hosts applications of several criticality levels on a small
 number of cores. Tasks are bin-packed onto cores (first-fit decreasing by
-utilization under a processor-demand test, no migration), each core is
-scheduled with preemptive EDF over the node's major frame, and maximal
-contiguous runs of same-criticality execution are wrapped into partition
-windows, yielding one partition per criticality level per core. The
-verifier re-derives every property of a finished schedule from the slices
-alone, on an integer time base it derives from the schedule itself.
+utilization, no migration); a core whose tasks include a deadline shorter
+than its period takes a task only when EDF over one hyperperiod from a
+synchronous release meets every deadline. Each core is scheduled with
+preemptive EDF over the node's major frame, and maximal contiguous runs of
+same-criticality execution are wrapped into partition windows, yielding
+one partition per criticality level per core. The verifier re-derives
+every property of a finished schedule from the slices alone, on an integer
+time base it derives from the schedule itself.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import FogweaverError, InfeasibleError
 from .reporting import Report, ReportBuilder
 from .scenario import ApplicationSpec, FogNodeSpec, expand_tasks, hyperperiod
-from .units import time_from_json, time_to_json
+from .units import time_base, time_from_json, time_to_json, to_ticks
 
 
 @dataclass(frozen=True)
@@ -90,31 +91,34 @@ def node_tasks(apps: list[ApplicationSpec]) -> list[NodeTask]:
     return out
 
 
-def _demand_fits(tasks: list[NodeTask]) -> bool:
-    """Whether one EDF core of utilization <= 1 meets every deadline: at
-    each absolute deadline t up to the hyperperiod, at most t of work may
-    be due (Baruah, Rosier & Howell 1990). Implicit deadlines always pass.
+def _jobs(tasks: list[NodeTask], frame: int) -> list[tuple]:
+    """The :func:`edf` jobs of ``tasks`` released in [0, frame)."""
+    return [(k * t.period_us, k * t.period_us + t.deadline_us, t.id, k,
+             t.wcet_us)
+            for t in tasks for k in range(frame // t.period_us)]
+
+
+def _edf_fits(tasks: list[NodeTask]) -> bool:
+    """Whether one EDF core of utilization <= 1 meets every deadline.
+
+    Implicit deadlines always pass. Otherwise EDF runs one hyperperiod from
+    the synchronous release, the worst case: with utilization <= 1 it meets
+    every deadline exactly when the processor-demand test passes (Baruah,
+    Rosier & Howell 1990).
     """
     if all(t.deadline_us == t.period_us for t in tasks):
         return True
-    horizon = hyperperiod([t.period_us for t in tasks])
-    due = sorted((release + t.deadline_us, t.wcet_us) for t in tasks
-                 for release in range(0, horizon, t.period_us))
-    demand = Fraction(0)
-    for deadline, wcet in due:
-        demand += wcet
-        if demand > deadline:
-            return False
-    return True
+    frame = hyperperiod([t.period_us for t in tasks])
+    return not edf(_jobs(tasks, frame), [(0, frame)])[1]
 
 
 def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
     """First-fit-decreasing bin packing of tasks onto cores by utilization.
 
-    A core takes a task when its utilization stays at most 1 and its tasks
-    pass the processor-demand test, so every core EDF-schedules its tasks.
-    Tasks never migrate. Raises :class:`InfeasibleError` naming the tasks
-    that do not fit when the packing fails.
+    A core takes a task when its utilization stays at most 1 and EDF
+    schedules its tasks (:func:`_edf_fits`). Tasks never migrate. Raises
+    :class:`InfeasibleError` naming the tasks that do not fit when the
+    packing fails.
     """
     if cores < 1:
         raise ValueError(f"need at least one core, got {cores}")
@@ -128,7 +132,7 @@ def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
     for u, t in tasks:
         for core in range(cores):
             if (load[core] + u <= 1
-                    and _demand_fits(on_core[core] + [t])):
+                    and _edf_fits(on_core[core] + [t])):
                 load[core] += u
                 on_core[core].append(t)
                 mapping[t.id] = core
@@ -153,24 +157,24 @@ def edf(jobs: list[tuple], intervals) -> tuple[list[tuple], list[tuple]]:
     job index; a run ends at the next release, the end of its interval or
     the job's deadline. A job unfinished at its deadline, or when the
     intervals run out, is dropped. The simulation runs on exact integer
-    ticks of ``1/scale`` us, ``scale`` being the lcm of every denominator
-    in the input.
+    ticks of ``1/scale`` us, ``scale`` being the :func:`time_base` of the
+    input.
 
     Returns the runs ``(task, job, start, end)``, consecutive runs of one
     job merged, and the dropped jobs.
     """
-    scale = math.lcm(*(x.denominator for j in jobs for x in (j[0], j[1], j[4])),
-                     *(x.denominator for iv in intervals for x in iv))
+    scale = time_base((x for j in jobs for x in (j[0], j[1], j[4])),
+                      (x for iv in intervals for x in iv))
     # [release, deadline, task, job, work left, the caller's job], times in
     # ticks, latest release first so that pop() takes the earliest
-    pending = sorted(([int(j[0] * scale), int(j[1] * scale), j[2], j[3],
-                       int(j[4] * scale), j] for j in jobs),
+    pending = sorted(([to_ticks(j[0], scale), to_ticks(j[1], scale), j[2],
+                       j[3], to_ticks(j[4], scale), j] for j in jobs),
                      key=lambda e: e[0], reverse=True)
     ready: list[tuple] = []  # heap of (deadline, task, job, entry)
     runs: list[tuple] = []
     missed: list[tuple] = []
     for start, end in intervals:
-        t, end = int(start * scale), int(end * scale)
+        t, end = to_ticks(start, scale), to_ticks(end, scale)
         while t < end:
             while pending and pending[-1][0] <= t:
                 entry = pending.pop()
@@ -223,12 +227,10 @@ def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
 
     major_frame = hyperperiod([t.period_us for t in tasks])
     slices: list[TaskSlice] = []
+    util = []
     for core in range(node.cores):
-        jobs = [(k * t.period_us, k * t.period_us + t.deadline_us, t.id, k,
-                 t.wcet_us)
-                for t in tasks if mapping[t.id] == core
-                for k in range(major_frame // t.period_us)]
-        runs, missed = edf(jobs, [(0, major_frame)])
+        runs, missed = edf(_jobs([t for t in tasks if mapping[t.id] == core],
+                                 major_frame), [(0, major_frame)])
         if missed:
             _, deadline, task, k, _ = min(missed, key=lambda j: j[1:4])
             raise InfeasibleError(
@@ -236,12 +238,8 @@ def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
                 f"deadline {deadline} us", unplaced=[task])
         slices += [TaskSlice(task, core, "", start, end, k)
                    for task, k, start, end in runs]
-
-    util = []
-    for core in range(node.cores):
-        busy = sum((sl.duration_us for sl in slices if sl.core == core),
-                   Fraction(0))
-        util.append(busy / major_frame)
+        util.append(sum((end - start for *_, start, end in runs), Fraction(0))
+                    / major_frame)
     bare = NodeSchedule(node.id, node.cores, major_frame, task_map,
                         (), tuple(slices), tuple(util))
     return rebuild_partitions(bare)
@@ -284,14 +282,11 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
     """
     rb = ReportBuilder()
     frame = ns.major_frame_us
-    D = math.lcm(*{t.denominator for sl in ns.slices for t in (sl.start_us, sl.end_us)},
-                 *{t.denominator for p in ns.partitions for w in p.windows for t in w},
-                 *{t.wcet_us.denominator for t in ns.tasks.values()})
-
-    def scaled(t) -> int:
-        return t.numerator * (D // t.denominator)
-
-    rows = [(sl, scaled(sl.start_us), scaled(sl.end_us)) for sl in ns.slices]
+    D = time_base((t for sl in ns.slices for t in (sl.start_us, sl.end_us)),
+                  (t for p in ns.partitions for w in p.windows for t in w),
+                  (t.wcet_us for t in ns.tasks.values()))
+    rows = [(sl, to_ticks(sl.start_us, D), to_ticks(sl.end_us, D))
+            for sl in ns.slices]
     per_core: dict[int, list[tuple[TaskSlice, int, int]]] = {}
     jobs: dict[tuple[str, int], list[tuple[TaskSlice, int, int]]] = {}
     for row in rows:
@@ -306,7 +301,8 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
                 rb.add("core-overlap", f"{ns.node}.c{core}",
                        f"{a.task}#{a.job_index} [{a.start_us}, {a.end_us}) overlaps "
                        f"{b.task}#{b.job_index} [{b.start_us}, {b.end_us})")
-        wins = sorted(((scaled(w[0]), scaled(w[1]), w, p) for p in ns.partitions
+        wins = sorted(((to_ticks(w[0], D), to_ticks(w[1], D), w, p)
+                       for p in ns.partitions
                        if p.core == core for w in p.windows), key=lambda r: r[:2])
         for (_, end1, w1, p1), (start2, _, w2, p2) in zip(wins, wins[1:]):
             if start2 < end1:
@@ -314,7 +310,7 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
                        f"partition {p1.id} window [{w1[0]}, {w1[1]}) overlaps "
                        f"{p2.id} window [{w2[0]}, {w2[1]})")
 
-    parts = {p.id: (p, [(scaled(w[0]), scaled(w[1])) for w in p.windows])
+    parts = {p.id: (p, [(to_ticks(w[0], D), to_ticks(w[1], D)) for w in p.windows])
              for p in ns.partitions}
     for sl, start, end in rows:
         if end <= start:
@@ -340,7 +336,7 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
             rb.add("frame", task.id,
                    f"period {task.period_us} does not divide major frame {frame}")
             continue
-        wcet = scaled(task.wcet_us)
+        wcet = to_ticks(task.wcet_us, D)
         for k in range(frame // task.period_us):
             release = k * task.period_us
             deadline = release + task.deadline_us

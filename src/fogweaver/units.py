@@ -6,6 +6,11 @@ held as :class:`fractions.Fraction` so that verifiers can compare intervals
 exactly; plain ints are accepted anywhere a Fraction is.
 
 Schedule offsets and frame windows live on a 0.1 us grid (``GRID_US``).
+
+Code that works on integers converts here, each solver and verifier from
+its own input: :func:`time_base` is the lcm ``D`` of the denominators of
+the times given, and :func:`to_ticks` turns a time into whole ticks of
+``1/D`` us, raising where a base misses a denominator.
 """
 
 from __future__ import annotations
@@ -22,6 +27,20 @@ Time = Fraction | int
 def lcm_all(values) -> int:
     """Least common multiple of positive integers."""
     return math.lcm(*values)
+
+
+def time_base(*groups) -> int:
+    """The lcm ``D`` of the denominators of every time in the iterables
+    ``groups``: each is a whole number of ticks of ``1/D`` us."""
+    return math.lcm(*{t.denominator for group in groups for t in group})
+
+
+def to_ticks(t: Time, D: int) -> int:
+    """The exact integer ``t * D``; ValueError when it is not whole."""
+    n, d = t.numerator, t.denominator
+    if D % d:
+        raise ValueError(f"{t} us is not a whole number of 1/{D} us ticks")
+    return n * (D // d)
 
 
 def time_to_json(t: Time):
@@ -53,7 +72,10 @@ def time_to_json(t: Time):
 
 
 def time_from_json(value) -> Fraction:
-    """Inverse of :func:`time_to_json`."""
+    """Inverse of :func:`time_to_json`. JSON ``true`` and ``false`` are not
+    times, although Python's ``bool`` is an ``int``."""
+    if isinstance(value, bool):
+        raise ValueError(f"a time must be a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -70,20 +92,14 @@ def fraction_to_decimal(f: Fraction) -> str:
     the scenario language cannot write it.
     """
     f = Fraction(f)
-    rest = f.denominator
-    for p in (2, 5):
-        while rest % p == 0:
-            rest //= p
-    if rest != 1:
+    n, d = f.numerator, f.denominator
+    # d divides 10**k for k = d.bit_length() exactly when its only prime
+    # factors are 2 and 5; then |n| / d is M / 10**k for a whole M
+    k = d.bit_length()
+    if pow(10, k, d):
         raise ValueError(f"{f} has no finite decimal form")
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    f = abs(f)
-    whole, rem = divmod(f.numerator, f.denominator)
-    digits = []
-    while rem:
-        rem *= 10
-        d, rem = divmod(rem, f.denominator)
-        digits.append(str(d))
-    return f"{sign}{whole}." + "".join(digits)
+    if d == 1:
+        return str(n)
+    digits = str(abs(n) * 10**k // d).rjust(k + 1, "0")
+    sign = "-" if n < 0 else ""
+    return f"{sign}{digits[:-k]}.{digits[-k:].rstrip('0')}"

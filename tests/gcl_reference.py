@@ -18,6 +18,12 @@ every exported time, so tests can check that the integer base changes no
 verdict, message or byte. ``verify_node_schedule`` and ``emit_gantt`` also
 scale their times to integers; ``reference_verify_node`` and
 ``reference_emit_gantt`` are their checks and charts on ``Fraction``.
+
+Two node-side oracles close the module. ``map_to_cores`` tests a core with
+constrained deadlines by running EDF; ``demand_fits`` is the
+processor-demand test on ``Fraction`` that it must agree with. The
+extensibility metric and climb keep the idle-gap variance on integer ticks;
+``gap_variance`` computes it from the mean on ``Fraction``.
 """
 
 from __future__ import annotations
@@ -570,3 +576,41 @@ def _ref_svg(title: str, span, lanes) -> str:
                     f'L {xe:g} {ym + 4:g} Z" fill="#333"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def demand_fits(tasks):
+    """Whether one EDF core of utilization <= 1 meets every deadline: at
+    each absolute deadline t up to the hyperperiod, at most t of work may
+    be due (Baruah, Rosier & Howell 1990). Implicit deadlines always pass.
+    """
+    if all(t.deadline_us == t.period_us for t in tasks):
+        return True
+    horizon = hyperperiod([t.period_us for t in tasks])
+    due = sorted((release + t.deadline_us, t.wcet_us) for t in tasks
+                 for release in range(0, horizon, t.period_us))
+    demand = Fraction(0)
+    for deadline, wcet in due:
+        demand += wcet
+        if demand > deadline:
+            return False
+    return True
+
+
+def gap_variance(busy_sorted, frame):
+    """(gap count, exact population variance of the idle-gap durations of
+    [0, frame)) for a start-sorted list of busy (start, end) intervals;
+    overlapping or touching intervals leave no gap between them."""
+    gaps = []
+    cursor = Fraction(0)
+    for s, e in busy_sorted:
+        if s > cursor:
+            gaps.append(s - cursor)
+        cursor = max(cursor, e)
+    if cursor < frame:
+        gaps.append(frame - cursor)
+    n = len(gaps)
+    if n < 2:
+        return n, Fraction(0)
+    mean = sum(gaps, Fraction(0)) / n
+    var = sum(((g - mean) ** 2 for g in gaps), Fraction(0)) / n
+    return n, var

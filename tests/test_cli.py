@@ -362,6 +362,11 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
     (_admit(), {"tasks": [{"wcet_us": 100, "period_ms": 10}]}),
     (_admit(), {"tasks": [{"id": "d", "period_ms": 10}]}),
     (_admit(), {"tasks": [{"id": "d", "wcet_us": 100}]}),
+    # JSON true is no whole number, though Python's bool is an int
+    (_admit(), {"tasks": [{"id": "d", "wcet_us": 100, "period_us": True}]}),
+    (_admit(), {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": True}]}),
+    (_admit(), {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10,
+                           "deadline_us": True}]}),
     (_admit(horizon="0"), _ONE_TASK),
     (_admit(core="7"), _ONE_TASK),  # E4 has two cores
     # usage errors: exit 1, never argparse's 2, which would read as infeasible
@@ -370,7 +375,8 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
     (_admit(core="x"), _ONE_TASK),
     (["net-schedule", "UC1", "--format", "png"], None),
 ], ids=["interval-0", "disclosure-negative", "no-tasks", "no-id", "no-wcet",
-        "no-period", "horizon-0", "core-7", "no-command", "no-scenario",
+        "no-period", "period-us-true", "period-ms-true", "deadline-true",
+        "horizon-0", "core-7", "no-command", "no-scenario",
         "core-not-int", "format-png"])
 def test_bad_input_exits_1_with_one_line(uc1_file, tmp_path, capsys,
                                          argv, dynamic):
@@ -408,6 +414,12 @@ def _corrupt(**changes):
     return json.dumps(doc)
 
 
+def _corrupt_task(key, value):
+    doc = _base_schedule_doc()
+    next(iter(doc["tasks"].values()))[key] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("schedule_text", [
     "{}",
     "not json",
@@ -416,8 +428,10 @@ def _corrupt(**changes):
     _corrupt(major_frame_us="120000"),
     _corrupt(tasks=[]),
     _corrupt(cores=[{"core": -1}]),
+    _corrupt_task("wcet_us", True),
+    _corrupt_task("period_us", True),
 ], ids=["empty", "not-json", "list", "cores-int", "frame-string",
-        "tasks-list", "core-negative"])
+        "tasks-list", "core-negative", "wcet-true", "period-true"])
 def test_admit_rejects_malformed_schedule_file(uc1_file, tmp_path, capsys,
                                                schedule_text):
     code, out = _admit_schedule(uc1_file, tmp_path, schedule_text)

@@ -4,11 +4,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gcl_reference import gap_variance
 from genutil import random_apps
 from fogweaver import extensibility
 from fogweaver.extensibility import (
-    _gap_variance,
     admit_dynamic,
     ext_metric,
     idle_profile,
@@ -20,6 +22,8 @@ from fogweaver.fixtures import (
     extensibility_schedule,
 )
 from fogweaver.nodesched import (
+    NodeSchedule,
+    TaskSlice,
     node_tasks,
     rebuild_partitions,
     synthesize_node_schedule,
@@ -140,6 +144,35 @@ def test_metric_invariant_under_circular_shift(base):
     assert ext_metric(shifted, core) == ext_metric(base, core)
 
 
+@st.composite
+def _layouts(draw):
+    """A frame and busy intervals on a 1/den us grid, den up to 30, so
+    bounds fall on thirds of a microsecond; intervals may be empty, touch
+    the one before or overlap any other."""
+    frame = draw(st.sampled_from((1, 7, 300, 10_000)))
+    den = draw(st.sampled_from((1, 3, 10, 30)))
+    bounds = []
+    for _ in range(draw(st.integers(0, 8))):
+        if bounds and draw(st.booleans()):
+            start = bounds[-1][1]
+        else:
+            start = draw(st.integers(0, frame * den))
+        bounds.append((start, draw(st.integers(start, frame * den))))
+    return frame, [(Fraction(a, den), Fraction(b, den)) for a, b in bounds]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_layouts())
+def test_metric_matches_fraction_variance(layout):
+    frame, bounds = layout
+    ns = NodeSchedule("N", 1, frame, {}, (),
+                      tuple(TaskSlice("t", 0, "", a, b, 0) for a, b in bounds),
+                      (Fraction(0),))
+    n, var = gap_variance(sorted(bounds, key=lambda ab: ab[0]), frame)
+    expected = math.sqrt(float(var)) / frame if n >= 2 else 0.0
+    assert ext_metric(ns, 0) == expected
+
+
 # -- optimizer ----------------------------------------------------------------
 
 
@@ -190,7 +223,7 @@ def _reference_climb(starts, durations, windows, frame, budget):
     left_moves = 0
     for _ in range(budget):
         intervals = [(s, s + d) for s, d in zip(starts, durations)]
-        best_var, best_move = _gap_variance(intervals, frame)[1], None
+        best_var, best_move = gap_variance(intervals, frame)[1], None
         for idx, (start, duration) in enumerate(zip(starts, durations)):
             release, deadline = windows[idx]
             last = idx + 1 == len(starts)
@@ -207,7 +240,7 @@ def _reference_climb(starts, durations, windows, frame, budget):
                 if cand == start:
                     continue
                 intervals[idx] = (cand, cand + duration)
-                var = _gap_variance(intervals, frame)[1]
+                var = gap_variance(intervals, frame)[1]
                 if var < best_var:
                     best_var, best_move = var, (idx, cand, cand == lo)
             intervals[idx] = (start, start + duration)
@@ -217,7 +250,7 @@ def _reference_climb(starts, durations, windows, frame, budget):
         starts[idx] = cand
         left_moves += to_left_edge
     intervals = [(s, s + d) for s, d in zip(starts, durations)]
-    return starts, _gap_variance(intervals, frame)[1], left_moves
+    return starts, gap_variance(intervals, frame)[1], left_moves
 
 
 def _slid_late(ns, rng):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcl_reference import demand_fits
 from genutil import random_apps
 from fogweaver.errors import InfeasibleError
 from fogweaver.nodesched import (
@@ -116,6 +117,8 @@ def _random_constrained_apps(rng):
 
 
 def test_map_accepts_a_core_exactly_when_edf_schedules_it():
+    # the fit test runs EDF itself, so the verdict is also held to the
+    # processor-demand test on Fraction
     rng = random.Random(17)
     seen = {"accepted": 0, "rejected": 0, "rejected at U <= 1": 0}
     for _ in range(300):
@@ -126,6 +129,9 @@ def test_map_accepts_a_core_exactly_when_edf_schedules_it():
             mapping = None
         everything_on_0 = {a.tasks[0].id: 0 for a in apps}
         assert (mapping is not None) == _synthesizes(apps, 1, everything_on_0)
+        tasks = node_tasks(apps)
+        assert (mapping is not None) == (
+            sum(t.utilization for t in tasks) <= 1 and demand_fits(tasks))
         if mapping is not None:
             seen["accepted"] += 1
         else:

@@ -21,8 +21,22 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_only_units_derives_a_time_base():
+    # one module picks the lcm of the denominators, so every integer time
+    # base is exact-or-raise in one place
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "units.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "lcm" in _names(node.func)
+        and any("denominator" in _names(arg) for arg in node.args)
+    ]
+    assert found == []
+
+
 SOLVER_HELPERS = {"_TickStream", "_tick_windows", "_forbidden_offsets",
-                  "_offset_candidates", "edf", "_climb", "_even_spread"}
+                  "_offset_candidates", "edf", "_jobs", "_edf_fits", "_climb",
+                  "_even_spread"}
 
 
 def _source_of(path: pathlib.Path, node: ast.ImportFrom) -> pathlib.Path | None:
