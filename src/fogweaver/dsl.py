@@ -23,8 +23,10 @@ files carry, and ignores them: no solver reads either.
 The parser checks syntax only. A malformed document raises
 :class:`ScenarioSyntaxError` with the line and column of the offending
 token; so does a property given twice in one block (``task`` inside
-``app`` is the one property that repeats). Whether identifiers are unique,
-references resolve and values lie in range is left to
+``app`` is the one property that repeats). Tokens keep only their offset,
+from which an error works out its line (lines end at ``\n``, so ``\r\n``
+reads the same) and column. Whether identifiers are unique, references
+resolve and values lie in range is left to
 :func:`fogweaver.scenario.validate`, which reports every violation in one
 pass.
 """
@@ -48,16 +50,13 @@ from .scenario import (
     TaskSpec,
 )
 
-# blanks before a token are part of its match, so they cost no match of
-# their own; _BLANKS_RE skips those that no token follows, at the end of
-# the text or before an unexpected character
-_BLANKS_RE = re.compile(r"[^\S\n]*")
+# blanks, newlines included, before a token are part of its match, and
+# `bad` is any other character
 _TOKEN_RE = re.compile(
     r"""
-    [^\S\n]*
+    \s*
     (?:
       (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
     | (?P<arrow>->)
     | (?P<lbrace>\{)
     | (?P<rbrace>\})
@@ -66,6 +65,7 @@ _TOKEN_RE = re.compile(
     | (?P<qty>(?P<amount>\d+(?:\.\d+)?)(?P<unit>Mbps|ms|us|B))
     | (?P<number>\d+(?:\.\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*(?:-(?!>)[A-Za-z0-9_.]*)*)
+    | (?P<bad>\S)
     )
     """,
     re.VERBOSE,
@@ -82,8 +82,13 @@ class _Token(NamedTuple):
     text: str
     value: Fraction | None
     unit: str | None
-    line: int
-    column: int
+    offset: int     # of the token's first character in the text
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _literal(raw: str) -> Fraction:
@@ -93,37 +98,30 @@ def _literal(raw: str) -> Fraction:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start = 1, 0  # line number and offset of its first character
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            pos = _BLANKS_RE.match(text, pos).end()
-            if pos == len(text):
-                break
-            raise ScenarioSyntaxError(f"unexpected character {text[pos]!r}",
-                                      line, pos - line_start + 1)
+    # a search from each of n trailing blanks scans to the end: n**2 / 2 steps
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-        elif kind != "comment":
-            raw = m.group(kind)
-            value = unit = None
-            if kind == "number":
-                value = _literal(raw)
-            elif kind == "qty":
-                value, unit = _literal(m.group("amount")), m.group("unit")
-            elif kind == "string":
-                raw = raw[1:-1]
-            tokens.append(_Token(kind, raw, value, unit, line,
-                                 m.start(kind) - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", None, None, line, pos - line_start + 1))
+        if kind == "comment":
+            continue
+        raw, offset = m.group(kind), m.start(kind)
+        value = unit = None
+        if kind == "number":
+            value = _literal(raw)
+        elif kind == "qty":
+            value, unit = _literal(m.group("amount")), m.group("unit")
+        elif kind == "string":
+            raw = raw[1:-1]
+        elif kind == "bad":
+            raise ScenarioSyntaxError(f"unexpected character {raw!r}",
+                                      *_position(text, offset))
+        tokens.append(_Token(kind, raw, value, unit, offset))
+    tokens.append(_Token("eof", "", None, None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nodes: list[FogNodeSpec] = []
@@ -145,7 +143,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: _Token):
-        raise ScenarioSyntaxError(message, tok.line, tok.column)
+        raise ScenarioSyntaxError(message, *_position(self.text, tok.offset))
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.next()

@@ -14,12 +14,14 @@ gaps in whole ticks of ``units.time_base``, exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .nodesched import (
     NodeSchedule,
     TaskSlice,
+    _jobs,
     edf,
     rebuild_partitions,
     verify_node_schedule,
@@ -297,7 +299,7 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
     modified. A job that reaches its deadline unfinished is reported as a
     miss (with its absolute release and deadline times) and its remaining
     work is discarded. A task counts as admitted when none of its jobs
-    misses within the horizon.
+    misses within the horizon. Dynamic task ids must be distinct.
     """
     if not 0 <= core < ns.cores:
         raise ValueError(f"core {core} is outside 0..{ns.cores - 1} of "
@@ -307,9 +309,10 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
     if bad:
         raise ValueError(f"dynamic tasks need a positive period, WCET and "
                          f"deadline: {', '.join(bad)}")
-    periods = [t.period_us for t in dynamic]
-    static_periods = [t.period_us for t in ns.tasks.values()]
-    cycle = lcm_all([*periods, *static_periods]) if (periods or static_periods) else 1
+    if twice := [i for i, n in Counter(t.id for t in dynamic).items() if n > 1]:
+        raise ValueError(f"dynamic task ids must be distinct: "
+                         f"{', '.join(twice)} given more than once")
+    cycle = lcm_all(t.period_us for t in (*dynamic, *ns.tasks.values()))
     if horizon_us <= 0 or horizon_us % cycle:
         raise ValueError(
             f"horizon {horizon_us} us must be a positive multiple of the "
@@ -326,13 +329,7 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
     else:
         idle.append((Fraction(0), Fraction(horizon_us)))
 
-    jobs = []
-    for t in dynamic:
-        for k in range(horizon_us // t.period_us):
-            release = k * t.period_us
-            jobs.append((release, release + t.deadline_us, t.id, k,
-                         t.wcet_us))
-    runs, missed = edf(jobs, idle)
+    runs, missed = edf(_jobs(dynamic, horizon_us), idle)
 
     misses = sorted((DeadlineMiss(task, release, deadline)
                      for release, deadline, task, *_ in missed),

@@ -91,8 +91,8 @@ def node_tasks(apps: list[ApplicationSpec]) -> list[NodeTask]:
     return out
 
 
-def _jobs(tasks: list[NodeTask], frame: int) -> list[tuple]:
-    """The :func:`edf` jobs of ``tasks`` released in [0, frame)."""
+def _jobs(tasks, frame: int) -> list[tuple]:
+    """The :func:`edf` jobs released in [0, frame) by node or scenario ``tasks``."""
     return [(k * t.period_us, k * t.period_us + t.deadline_us, t.id, k,
              t.wcet_us)
             for t in tasks for k in range(frame // t.period_us)]

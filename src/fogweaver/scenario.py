@@ -204,11 +204,17 @@ def hyperperiod(periods_us) -> int:
     return lcm_all(periods)
 
 
+def task_ids(app: ApplicationSpec) -> list[str]:
+    """The explicit tasks' ids, else ``{app}/t{i}`` for i < ``task_count``."""
+    return ([t.id for t in app.tasks] if app.tasks
+            else [f"{app.id}/t{i}" for i in range(app.task_count)])
+
+
 def expand_tasks(app: ApplicationSpec) -> list[TaskSpec]:
     """Materialize the task set of an application.
 
     Explicit tasks are returned unchanged. Otherwise the aggregate
-    utilization is split evenly: ``task_count`` tasks, each with
+    utilization is split evenly: the tasks of :func:`task_ids`, each with
     WCET = utilization x period / task_count, period and deadline equal to
     the application period. The split is exact (Fraction), so the summed
     utilization always reproduces the declared one.
@@ -216,10 +222,8 @@ def expand_tasks(app: ApplicationSpec) -> list[TaskSpec]:
     if app.tasks:
         return list(app.tasks)
     wcet = app.utilization * app.period_us / app.task_count
-    return [
-        TaskSpec(f"{app.id}/t{i}", wcet, app.period_us, app.period_us)
-        for i in range(app.task_count)
-    ]
+    return [TaskSpec(task_id, wcet, app.period_us, app.period_us)
+            for task_id in task_ids(app)]
 
 
 # -- validation ---------------------------------------------------------
@@ -285,8 +289,8 @@ def _check_task_ids(s: Scenario, rb: ReportBuilder) -> None:
     # node need distinct ids
     owners: dict[tuple[str, str], list[str]] = {}
     for app in s.applications:
-        for task in expand_tasks(app) if app.tasks or app.task_count else ():
-            owners.setdefault((app.node, task.id), []).append(app.id)
+        for task_id in task_ids(app):
+            owners.setdefault((app.node, task_id), []).append(app.id)
     for (node, task_id), apps in owners.items():
         if len(apps) > 1:
             rb.add("duplicate-id", task_id, f"task declared {len(apps)} times "

@@ -369,6 +369,7 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
                            "deadline_us": True}]}),
     (_admit(horizon="0"), _ONE_TASK),
     (_admit(core="7"), _ONE_TASK),  # E4 has two cores
+    (_admit(), {"tasks": [_ONE_TASK["tasks"][0]] * 2}),
     # usage errors: exit 1, never argparse's 2, which would read as infeasible
     ([], None),
     (["pipeline"], None),
@@ -376,7 +377,7 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
     (["net-schedule", "UC1", "--format", "png"], None),
 ], ids=["interval-0", "disclosure-negative", "no-tasks", "no-id", "no-wcet",
         "no-period", "period-us-true", "period-ms-true", "deadline-true",
-        "horizon-0", "core-7", "no-command", "no-scenario",
+        "horizon-0", "core-7", "duplicate-id", "no-command", "no-scenario",
         "core-not-int", "format-png"])
 def test_bad_input_exits_1_with_one_line(uc1_file, tmp_path, capsys,
                                          argv, dynamic):

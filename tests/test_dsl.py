@@ -1,6 +1,7 @@
 """The scenario parser: syntax errors and their positions."""
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,17 @@ def test_arrow_may_touch_identifiers():
     s = parse_scenario(text)
     assert [(l.src, l.dst) for l in s.links] == [("S-1", "W1"), ("W1", "S-1")]
     assert s == parse_scenario(text.replace("->", " -> "))
+
+
+def test_trailing_blanks_cost_one_search():
+    # a regex search from each of n trailing blanks would scan to the end,
+    # n**2 / 2 steps: about a minute for these
+    text = "switch W1" + " \n" * 10_000
+    start = time.perf_counter()
+    tokens = _tokenize(text)
+    assert time.perf_counter() - start < 1
+    assert [(t.kind, t.offset) for t in tokens] == [
+        ("ident", 0), ("ident", 7), ("eof", len(text))]
 
 
 @pytest.mark.parametrize("text,line,column", [
@@ -111,9 +123,17 @@ def _reference_tokenize(text):
     return tokens
 
 
+def _line_column(text, offset):
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
 def _tokens_or_error(text):
+    """The tokens as the reference's tuples, each offset turned into its
+    line and column; or the (message, line, column) of the syntax error."""
     try:
-        return [tuple(tok) for tok in _tokenize(text)]
+        return [(*tok[:-1], *_line_column(text, tok.offset))
+                for tok in _tokenize(text)]
     except ScenarioSyntaxError as exc:
         message = str(exc).split(": ", 1)[1]
         assert str(exc) == f"{exc.line}:{exc.column}: {message}"
@@ -134,6 +154,10 @@ FRAGMENTS = st.sampled_from([
 @example(["W1", "   ", "@"])
 @example(["\n", "  ", "\t"])
 @example(["12", "٣"])
+@example(["node", "\r\n", "E1", "\r\n", "{", "\r\n", "}", "\r\n"])
+@example(["W1", "\n", "@"])
+@example(["W1", "# note", "\n", "$"])
+@example(["W1", " ", "\n", "\t", " ", "\n\n"])
 def test_tokenizer_matches_reference(parts):
     text = "".join(parts)
     got = _tokens_or_error(text)

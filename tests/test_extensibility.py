@@ -378,6 +378,15 @@ def test_core_outside_node_is_rejected(base):
         admit_dynamic(base, base.cores, dynamic_logging_tasks(), 120_000)
 
 
+def test_duplicate_dynamic_ids_are_rejected(optimized):
+    # one id for two tasks would merge their slices and admission verdicts
+    dynamic = [TaskSpec("x", Fraction(1020), 6_000),
+               TaskSpec("x", Fraction(1040), 8_000)]
+    with pytest.raises(ValueError, match="^dynamic task ids must be distinct: "
+                                         "x given more than once$"):
+        admit_dynamic(optimized, EXTENSIBILITY_CORE, dynamic, 120_000)
+
+
 def test_horizon_must_cover_all_periods(base):
     with pytest.raises(ValueError):
         admit_dynamic(base, EXTENSIBILITY_CORE, dynamic_logging_tasks(),

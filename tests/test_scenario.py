@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fogweaver import scenario
 from fogweaver.cli import main
 from fogweaver.dsl import parse_scenario
 from fogweaver.errors import FogweaverError, ScenarioSyntaxError
@@ -164,6 +165,60 @@ def test_validate_rejects_one_task_id_twice_on_a_node(tmp_path, capsys):
     path.write_text(_ONE_TASK_ID_TWICE)
     assert main(["node-schedule", str(path)]) == 1
     assert "[duplicate-id] t" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_generated_id_that_an_explicit_task_takes():
+    s = parse_scenario("""
+node N { cores 2 class 1 }
+app "b" on N { level 1 tasks 1 period 10ms util 0.1
+               task "a/t0" wcet 1000us period 10ms }
+app "a" on N { level 1 tasks 1 period 10ms util 0.1 }
+""")
+    assert [str(v) for v in validate(s)] == [
+        "[duplicate-id] a/t0: task declared 2 times on node N (applications b, a)"]
+
+
+def test_validate_lists_each_task_id_taken_twice_in_order():
+    s = parse_scenario("""
+node N { cores 2 class 1 }
+app "a" on N { level 1 tasks 2 period 10ms util 0.1
+               task x wcet 500us period 10ms task y wcet 500us period 10ms }
+app "b" on N { level 1 tasks 1 period 10ms util 0.1 task x wcet 1000us period 10ms }
+app "c" on N { level 1 tasks 1 period 10ms util 0.1 task y wcet 1000us period 10ms }
+""")
+    assert [str(v) for v in validate(s)] == [
+        "[duplicate-id] x: task declared 2 times on node N (applications a, b)",
+        "[duplicate-id] y: task declared 2 times on node N (applications a, c)"]
+
+
+def test_validate_names_task_ids_of_one_app_id_twice_and_no_count():
+    s = parse_scenario("""
+node N { cores 2 class 1 }
+app "a" on N { level 1 tasks 2 period 10ms util 0.1 }
+app "a" on N { level 1 tasks 1 period 10ms util 0.1 }
+app "z" on N { level 1 tasks 0 period 10ms util 0.1 }
+app "y" on N { level 1 tasks 1 period 10ms util 0.1 }
+""")
+    s = replace(s, applications=(*s.applications[:3],
+                                 replace(s.applications[3], task_count=-1)))
+    assert [str(v) for v in validate(s)] == [
+        "[duplicate-id] a: application declared more than once",
+        "[task-count] z: task count must be >= 1, got 0",
+        "[task-count] y: task count must be >= 1, got -1",
+        "[duplicate-id] a/t0: task declared 2 times on node N (applications a, a)"]
+
+
+def test_validate_builds_no_tasks(uc1, monkeypatch):
+    # validate counts task ids, so a file with a huge task count is cheap
+    # to reject or accept
+    def build(app):
+        raise AssertionError(f"validate built the tasks of {app.id}")
+
+    monkeypatch.setattr(scenario, "expand_tasks", build)
+    assert validate(uc1).ok
+    big = replace(uc1, applications=(replace(uc1.applications[0],
+                                             task_count=100_000),))
+    assert validate(big).ok
 
 
 # -- hyperperiod ------------------------------------------------------------

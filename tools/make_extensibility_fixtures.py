@@ -19,18 +19,14 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fogweaver.extensibility import admit_dynamic, ext_metric, optimize_extensibility
+from fogweaver.fixtures import EXTENSIBILITY_CORE, dynamic_logging_tasks
 from fogweaver.nodesched import node_schedule_to_json, synthesize_node_schedule, verify_node_schedule
 from fogweaver.scenario import ApplicationSpec, FogNodeSpec, TaskSpec
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "fogweaver" / "fixtures"
 
-FIXTURE_CORE = 2
-DYNAMIC_APPS = [
-    TaskSpec("app1", Fraction(1020), 6_000),
-    TaskSpec("app2", Fraction(1040), 8_000),
-    TaskSpec("app3", Fraction(1500), 10_000),
-    TaskSpec("app4", Fraction(1560), 12_000),
-]
+FIXTURE_CORE = EXTENSIBILITY_CORE
+DYNAMIC_APPS = dynamic_logging_tasks()
 ADMISSION_HORIZON_US = 120_000
 
 NOTE = (
