@@ -24,7 +24,7 @@ ns = synthesize_gcl(s)
 cfg = TeslaConfig()  # 16 B MACs, 16 B keys, 1 ms key interval, d = 1
 
 overlay, secured = apply_tesla(s, ns, cfg)
-print(f"{len(overlay.streams)} secured streams, "
+print(f"{len(secured.streams)} secured streams, "
       f"{len(overlay.tasks)} security tasks "
       f"({sum(1 for t in overlay.tasks if not t.hosted_on_node)} of them on "
       f"bare sensors)\n")

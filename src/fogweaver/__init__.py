@@ -14,10 +14,8 @@ from .dsl import parse_scenario
 from .errors import FogweaverError, InfeasibleError, ScenarioSyntaxError
 from .extensibility import (
     AdmissionReport,
-    IdleProfile,
     admit_dynamic,
     ext_metric,
-    idle_profile,
     optimize_extensibility,
 )
 from .gantt import emit_gantt

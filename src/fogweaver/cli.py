@@ -205,7 +205,9 @@ def _load_dynamic_tasks(path: str) -> list[TaskSpec]:
         for row in doc["tasks"]:
             period = (row["period_us"] if "period_us" in row
                       else row["period_ms"] * 1000)
-            tasks.append(TaskSpec(str(row["id"]), Fraction(str(row["wcet_us"])),
+            if not isinstance(row["id"], str):
+                raise TypeError(f"task id must be a string, got {row['id']!r}")
+            tasks.append(TaskSpec(row["id"], Fraction(str(row["wcet_us"])),
                                   period, row.get("deadline_us")))
     except KeyError as exc:
         raise FogweaverError(f"{path}: missing key {exc}") from None
@@ -262,7 +264,9 @@ def cmd_tesla(args) -> int:
         raise FogweaverError(exc) from None
     ns, verification, _ = net_stage(s)
     _require_verified(verification)
-    _emit(args, tesla_stage(s, ns, cfg))
+    verification, block = tesla_stage(s, ns, cfg)
+    _require_verified(verification)
+    _emit(args, block)
     return EXIT_OK
 
 

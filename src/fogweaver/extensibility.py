@@ -7,8 +7,10 @@ frame (0 = perfectly even). The optimizer is a deterministic local search
 that slides execution slices inside their jobs' feasibility windows to
 shrink that deviation. Admission simulates dynamic, non-critical tasks
 running EDF strictly inside the static schedule's idle gaps; the static
-slices are never touched. The metric and the optimizer both score idle
-gaps in whole ticks of ``units.time_base``, exactly.
+slices are never touched. ``_idle_gaps`` is a core's idle time: the metric
+takes it over one frame, admission over the static slices tiled over its
+horizon. The metric and the optimizer both score idle gaps in whole ticks
+of ``units.time_base``, exactly.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ from .units import GRID_US, lcm_all, time_base, to_ticks
 
 DYNAMIC_PARTITION = "dynamic"  # dynamic tasks run outside static partitions
 ITERATION_BUDGET = 200  # accepted moves per hill climb
-
-
-@dataclass(frozen=True)
-class IdleProfile:
-    """The idle gaps of one core over the major frame."""
-
-    core: int
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def total_us(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -71,9 +61,9 @@ class AdmissionReport:
 
 def _idle_gaps(busy_sorted, frame):
     """The idle (start, end) gaps of [0, frame) around a start-sorted list
-    of busy (start, end) intervals, ints or Fractions. The cursor sits at
-    the latest end seen, so overlapping or touching intervals leave no gap
-    between them."""
+    of busy (start, end) intervals, ints or Fractions: a core's idle time.
+    The cursor sits at the latest end seen, so overlapping or touching
+    intervals leave no gap between them."""
     gaps = []
     cursor = 0
     for s, e in busy_sorted:
@@ -83,13 +73,6 @@ def _idle_gaps(busy_sorted, frame):
     if cursor < frame:
         gaps.append((cursor, frame))
     return gaps
-
-
-def idle_profile(ns: NodeSchedule, core: int) -> IdleProfile:
-    """Complement of the busy slices on ``core`` over [0, major_frame)."""
-    gaps = _idle_gaps([(sl.start_us, sl.end_us) for sl in ns.core_slices(core)],
-                      Fraction(ns.major_frame_us))
-    return IdleProfile(core, tuple(gaps))
 
 
 def ext_metric(ns: NodeSchedule, core: int) -> float:
@@ -318,18 +301,19 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
             f"horizon {horizon_us} us must be a positive multiple of the "
             f"combined static/dynamic cycle {cycle} us")
 
-    # static idle gaps tiled over the horizon
-    idle: list[tuple[Fraction, Fraction]] = []
-    if ns.major_frame_us:
-        base = idle_profile(ns, core).intervals
-        for rep in range(horizon_us // ns.major_frame_us):
-            off = rep * ns.major_frame_us
-            for a, b in base:
-                idle.append((a + off, b + off))
-    else:
-        idle.append((Fraction(0), Fraction(horizon_us)))
+    own = ns.core_slices(core)
+    if own and ns.major_frame_us <= 0:
+        raise ValueError(f"major frame {ns.major_frame_us} us holds slices on "
+                         f"core {core} of node {ns.node}")
 
-    runs, missed = edf(_jobs(dynamic, horizon_us), idle)
+    # the idle time around the static slices tiled over the horizon, the
+    # last frame cut at the horizon; a node without static tasks has no
+    # slices, so the range is never built
+    static = sorted((sl.start_us + off, sl.end_us + off)
+                    for sl in own
+                    for off in range(0, horizon_us, ns.major_frame_us)
+                    if sl.start_us + off < horizon_us)
+    runs, missed = edf(_jobs(dynamic, horizon_us), _idle_gaps(static, horizon_us))
 
     misses = sorted((DeadlineMiss(task, release, deadline)
                      for release, deadline, task, *_ in missed),

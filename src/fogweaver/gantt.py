@@ -11,12 +11,13 @@ Each schedule's times are read once, as whole ticks of 1/D us for the
 ``units.time_base`` D of the schedule; sorting, labels and coordinates
 then work on those integers. Python's int division is correctly rounded,
 so ``T / D`` is the float ``float(Fraction(T, D))`` gives, and the output
-is the same as on ``Fraction``.
+is the same as on ``Fraction``. A network chart lists each port in the
+GCL's own order, ``gclsched.port_order``.
 """
 
 from __future__ import annotations
 
-from .gclsched import NetSchedule
+from .gclsched import NetSchedule, port_order
 from .nodesched import NodeSchedule
 from .units import time_base, to_ticks
 
@@ -60,13 +61,11 @@ def emit_gantt(schedule: NetSchedule | NodeSchedule, format: str = "ascii"
 
 def _net_lanes(ns: NetSchedule):
     D = time_base(t for w in ns.windows for t in (w.open_us, w.close_us))
-    per_link: dict[str, list] = {}
-    for w in ns.windows:
-        per_link.setdefault(w.link, []).append(
-            (to_ticks(w.open_us, D), to_ticks(w.close_us, D),
-             f"{w.stream} #{w.instance}", w.stream, False))
-    lanes = [(link_id, sorted(per_link[link_id], key=lambda b: (b[0], b[3])), [])
-             for link_id in sorted(per_link)]
+    lanes = [(link_id,
+              [(to_ticks(w.open_us, D), to_ticks(w.close_us, D),
+                f"{w.stream} #{w.instance}", w.stream, False) for w in wins],
+              [])
+             for link_id, wins in port_order(ns, D)]
     return D, lanes
 
 

@@ -28,7 +28,7 @@ and windows once, at the end. The verifier re-checks a finished schedule
 exactly and shares no code with the solver: it derives an integer base of
 its own from its input with ``units.time_base``, the lcm of the
 denominators of every time it reads, and runs every check on integers.
-The exporter sorts each port on an exact integer key the same way.
+The exporter and the Gantt chart list each port in one order, ``port_order``.
 """
 
 from __future__ import annotations
@@ -263,17 +263,20 @@ def stream_metrics(ns: NetSchedule, st: StreamSpec) -> StreamTiming:
 def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
     """Re-check a network schedule by direct interval arithmetic.
 
-    Independent of the solver: works only from the windows, the offsets and
-    the scenario. Checks per-link non-overlap, route precedence spacing,
-    window length, period containment, deadline satisfaction, zero jitter,
-    completeness (every instance of every stream present) and that no
-    window lies beyond the stream's instances or off its route.
+    Independent of the solver: works only from the windows, the offsets,
+    the recorded per-stream timings and the scenario. Checks per-link
+    non-overlap, route precedence spacing, window length, period
+    containment, deadline satisfaction, zero jitter, completeness (every
+    instance of every stream present), that no window lies beyond the
+    stream's instances or off its route, and that each stream's recorded
+    delay and jitter are the ones its windows give.
 
     The checks run on integers: every time it reads (window ends, offsets,
-    ``d_hop``, transmission times, periods, deadlines, the cycle) is scaled
-    once by the lcm ``D`` of their denominators. Multiplying by a positive
-    ``D`` keeps equality and order, so each verdict is the exact
-    ``Fraction`` one; messages print the original values or ``x / D``.
+    recorded timings, ``d_hop``, transmission times, periods, deadlines,
+    the cycle) is scaled once by the lcm ``D`` of their denominators.
+    Multiplying by a positive ``D`` keeps equality and order, so each
+    verdict is the exact ``Fraction`` one; messages print the original
+    values or ``x / D``.
     """
     rb = ReportBuilder()
     d_hop = ns.d_hop_us
@@ -293,6 +296,8 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
 
     D = time_base((d_hop, ns.cycle_us), ns.offsets.values(),
                   (t for w in ns.windows for t in (w.open_us, w.close_us)),
+                  (t for r in ns.per_stream.values()
+                   for t in (r.ed_us, r.jitter_us)),
                   (v for st, phi, _, tx in plan if phi is not None
                    for v in (tx, st.period_us, st.deadline_us)))
 
@@ -368,6 +373,19 @@ def verify_net_schedule(ns: NetSchedule, s: Scenario) -> Report:
         if arrivals and max(arrivals) != min(arrivals):
             rb.add("jitter", st.id,
                    f"jitter {Fraction(max(arrivals) - min(arrivals), D)} us, expected 0")
+        recorded = ns.per_stream.get(st.id)
+        if recorded is None:
+            rb.add("missing", st.id, "stream has no recorded timing")
+        elif arrivals:
+            ed, spread = max(arrivals), max(arrivals) - min(arrivals)
+            if to_ticks(recorded.ed_us, D) != ed:
+                rb.add("timing", st.id,
+                       f"recorded delay {recorded.ed_us} us, windows give "
+                       f"{Fraction(ed, D)} us")
+            if to_ticks(recorded.jitter_us, D) != spread:
+                rb.add("timing", st.id,
+                       f"recorded jitter {recorded.jitter_us} us, windows give "
+                       f"{Fraction(spread, D)} us")
     for sid in sorted(per_stream.keys() - {st.id for st in s.streams}):
         rb.add("containment", sid, "windows of a stream the scenario does not declare")
     return rb.build()
@@ -387,18 +405,22 @@ def qoc_proxy(ns: NetSchedule, s: Scenario) -> Fraction:
     return total / len(control)
 
 
-def gcl_export(ns: NetSchedule) -> list[dict]:
-    """One JSON-ready object per egress port, entries sorted by open time."""
-    # sort on opens in whole ticks of 1/D us, an exact integer key
-    D = time_base(w.open_us for w in ns.windows)
+def port_order(ns: NetSchedule, D: int) -> list[tuple[str, list[FrameWindow]]]:
+    """Each port's windows in GCL order: ports by id, windows by open time
+    (an exact key in whole ticks of ``1/D`` us), then by stream id."""
     per_link: dict[str, list[FrameWindow]] = {}
     for w in ns.windows:
         per_link.setdefault(w.link, []).append(w)
-    out = []
-    for link_id in sorted(per_link):
-        entries = sorted(per_link[link_id],
-                         key=lambda w: (to_ticks(w.open_us, D), w.stream))
-        out.append({
+    return [(link_id,
+             sorted(wins, key=lambda w: (to_ticks(w.open_us, D), w.stream)))
+            for link_id, wins in sorted(per_link.items())]
+
+
+def gcl_export(ns: NetSchedule) -> list[dict]:
+    """One JSON-ready object per egress port, entries sorted by open time."""
+    D = time_base(w.open_us for w in ns.windows)
+    return [
+        {
             "port": link_id,
             "cycle_us": ns.cycle_us,
             "entries": [
@@ -408,7 +430,8 @@ def gcl_export(ns: NetSchedule) -> list[dict]:
                     "stream": w.stream,
                     "instance": w.instance,
                 }
-                for w in entries
+                for w in wins
             ],
-        })
-    return out
+        }
+        for link_id, wins in port_order(ns, D)
+    ]

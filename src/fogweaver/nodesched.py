@@ -270,8 +270,9 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
     """Independent check of a node schedule.
 
     Verifies per-core non-overlap, full WCET before every deadline,
-    criticality isolation, slice containment in partition windows,
-    per-core window disjointness and the recorded utilization figures.
+    criticality isolation, slice containment in partition windows, that
+    every slice belongs to a job of the major frame, per-core window
+    disjointness and the recorded utilization figures.
 
     The checks run on integers: every slice and window bound and every
     WCET is scaled once by the lcm ``D`` of their denominators, and each
@@ -330,6 +331,10 @@ def verify_node_schedule(ns: NodeSchedule) -> Report:
             rb.add("containment", sl.task,
                    f"slice [{sl.start_us}, {sl.end_us}) on core {sl.core} is not "
                    f"inside a window of partition {part.id}")
+        if not 0 <= sl.job_index < frame // task.period_us:
+            rb.add("reference", sl.task,
+                   f"slice of job {sl.job_index}, which the major frame of "
+                   f"{frame} us does not hold")
 
     for task in ns.tasks.values():
         if frame % task.period_us:

@@ -3,10 +3,12 @@
 Each stage is written once here and called by both the CLI subcommands and
 ``run_pipeline``: ``net_stage`` (GCL synthesis and its verification),
 ``node_stage`` (node-schedule verification), ``extensibility_stage``,
-``tesla_stage`` and ``write_gantt``. Both callers read the scenario with
+``tesla_stage`` (secured GCL synthesis and its verification) and
+``write_gantt``. Both callers read the scenario with
 :func:`~fogweaver.dsl.parse_scenario`; the file is the only model input.
-``net_stage`` and ``node_stage`` run each verifier exactly once and hand
-its ``Report`` back; the caller decides whether to go on.
+``net_stage``, ``node_stage`` and ``tesla_stage`` run each verifier
+exactly once and hand its ``Report`` back; the caller decides whether to
+go on.
 
 Reports are plain dicts of JSON-compatible values, assembled in a fixed
 order with no timestamps, so two runs over the same scenario file produce
@@ -175,13 +177,17 @@ def extensibility_stage(schedules: list[NodeSchedule], optimize: bool) -> dict:
     return {"cores": rows}
 
 
-def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig) -> dict:
+def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
+                ) -> tuple[Report, dict]:
     """Apply the security overlay to a verified network schedule,
-    re-synthesize the secured network and return the ``tesla`` block of the
-    pipeline report. Raises :class:`InfeasibleError` when the secured
-    variant cannot be placed."""
+    re-synthesize the secured network and verify it once; returns the
+    verifier's report and the ``tesla`` block of the pipeline report, which
+    lists the violations under ``verification`` only when there are any.
+    Raises :class:`InfeasibleError` when the secured variant cannot be
+    placed."""
     overlay, secured = apply_tesla(s, ns, cfg)
     secured_ns = synthesize_gcl(secured)
+    verification = verify_net_schedule(secured_ns, secured)
     before = {st.id: ns.per_stream[st.id].ed_us for st in s.streams}
     after = {
         st.id: secured_delay(secured.stream(st.id),
@@ -189,7 +195,7 @@ def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig) -> dict:
                              send_offset_us=secured_ns.offsets[st.id])
         for st in s.streams
     }
-    return {
+    block = {
         "config": {
             "mac_bytes": MAC_BYTES,
             "key_bytes": KEY_BYTES,
@@ -199,6 +205,9 @@ def tesla_stage(s: Scenario, ns: NetSchedule, cfg: TeslaConfig) -> dict:
         "security_tasks": len(overlay.tasks),
         **tesla_overhead_report(before, after).to_json(),
     }
+    if not verification.ok:
+        block["verification"] = _verdict(verification)
+    return verification, block
 
 
 def write_gantt(directory: str | pathlib.Path, gantt_format: str,
@@ -294,7 +303,9 @@ def run_pipeline(scenario_path: str | pathlib.Path, *,
         }
         report["extensibility"] = extensibility_stage(schedules, optimize=True)
         stage = "tesla"
-        report["tesla"] = tesla_stage(s, ns, TeslaConfig())
+        verification, report["tesla"] = tesla_stage(s, ns, TeslaConfig())
+        if not verification.ok:
+            return finish(EXIT_INFEASIBLE, ns, schedules)
     except InfeasibleError as exc:
         marker = {"infeasible": str(exc), "unplaced": list(exc.unplaced),
                   "gave_up": exc.gave_up}

@@ -12,7 +12,8 @@ and the disclosure delay are the two settings of :class:`TeslaConfig`.
 
 This is a scheduling model: no MACs are computed and no key chains are
 generated - the overlay only sizes frames, places the security tasks and
-accounts for the disclosure wait.
+accounts for the disclosure wait. The grown frames live in the secured
+scenario :func:`apply_tesla` returns; the overlay holds only the tasks.
 """
 
 from __future__ import annotations
@@ -59,21 +60,8 @@ class SecurityTask:
 
 
 @dataclass(frozen=True)
-class SecuredStream:
-    stream: str
-    size_before: int
-    size_after: int
-    sign: SecurityTask
-    verify: SecurityTask
-
-
-@dataclass(frozen=True)
 class SecurityOverlay:
-    streams: tuple[SecuredStream, ...]
-
-    @property
-    def tasks(self) -> tuple[SecurityTask, ...]:
-        return tuple(t for s in self.streams for t in (s.sign, s.verify))
+    tasks: tuple[SecurityTask, ...]  # sign, then verify, for each stream
 
 
 def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
@@ -88,7 +76,7 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
     security tasks.
     """
     node_ids = {n.id for n in s.nodes}
-    secured: list[SecuredStream] = []
+    tasks: list[SecurityTask] = []
     new_streams: list[StreamSpec] = []
     new_apps: list[ApplicationSpec] = []
 
@@ -102,8 +90,7 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
         verify = SecurityTask(f"sec:{st.id}:verify", st.id, "verify", st.dst,
                               st.dst in node_ids, VERIFY_WCET_US,
                               st.period_us, st.criticality)
-        secured.append(SecuredStream(st.id, st.size_bytes,
-                                     st.size_bytes + growth, sign, verify))
+        tasks += (sign, verify)
         new_streams.append(replace(st, size_bytes=st.size_bytes + growth))
         for task in (sign, verify):
             if task.hosted_on_node:
@@ -129,7 +116,7 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
                 f"node {node.id} cannot absorb its security tasks",
                 unplaced=exc.unplaced) from exc
 
-    return SecurityOverlay(tuple(secured)), secured_scenario
+    return SecurityOverlay(tuple(tasks)), secured_scenario
 
 
 def secured_delay(st: StreamSpec, ed_before_us, cfg: TeslaConfig,

@@ -340,6 +340,18 @@ def reference_verify(ns, s):
                            f"release, deadline is {st.deadline_us} us")
         if arrivals and max(arrivals) != min(arrivals):
             rb.add("jitter", st.id, f"jitter {max(arrivals) - min(arrivals)} us, expected 0")
+        recorded = ns.per_stream.get(st.id)
+        if recorded is None:
+            rb.add("missing", st.id, "stream has no recorded timing")
+        elif arrivals:
+            ed, spread = max(arrivals), max(arrivals) - min(arrivals)
+            if recorded.ed_us != ed:
+                rb.add("timing", st.id,
+                       f"recorded delay {recorded.ed_us} us, windows give {ed} us")
+            if recorded.jitter_us != spread:
+                rb.add("timing", st.id,
+                       f"recorded jitter {recorded.jitter_us} us, windows give "
+                       f"{spread} us")
     for sid in sorted(per_stream.keys() - {st.id for st in s.streams}):
         rb.add("containment", sid, "windows of a stream the scenario does not declare")
     return rb.build()
@@ -410,6 +422,10 @@ def reference_verify_node(ns):
             rb.add("containment", sl.task,
                    f"slice [{sl.start_us}, {sl.end_us}) on core {sl.core} is not "
                    f"inside a window of partition {part.id}")
+        if not 0 <= sl.job_index < ns.major_frame_us // task.period_us:
+            rb.add("reference", sl.task,
+                   f"slice of job {sl.job_index}, which the major frame of "
+                   f"{ns.major_frame_us} us does not hold")
 
     jobs = {}
     for sl in ns.slices:

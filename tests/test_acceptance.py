@@ -138,9 +138,10 @@ def test_criterion_5_tesla_consistency_and_properties():
     ns = synthesize_gcl(s)
     cfg = TeslaConfig()
     overlay, secured = apply_tesla(s, ns, cfg)
-    assert len(overlay.streams) == 10
-    for item in overlay.streams:  # exactly two security tasks per stream
-        assert {item.sign.role, item.verify.role} == {"sign", "verify"}
+    assert len(secured.streams) == 10
+    for st in secured.streams:  # exactly two security tasks per stream
+        assert sorted(t.role for t in overlay.tasks if t.stream == st.id) \
+            == ["sign", "verify"]
     secured_ns = synthesize_gcl(secured)
     for st in s.streams:
         before = ns.per_stream[st.id].ed_us

@@ -1,14 +1,22 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from genutil import line_scenario
 from fogweaver import pipeline
 from fogweaver.cli import main
 from fogweaver.errors import InfeasibleError
 from fogweaver.fixtures import uc1_text
+from fogweaver.gclsched import (FrameWindow, NetSchedule, StreamTiming,
+                                synthesize_gcl, verify_net_schedule)
+from fogweaver.nodesched import node_schedule_from_json, verify_node_schedule
 from fogweaver.pipeline import run_pipeline
 from fogweaver.reporting import Report, Violation
+from fogweaver.scenario import scenario_to_text
+from fogweaver.units import time_from_json
 
 
 @pytest.fixture()
@@ -291,6 +299,61 @@ def test_every_uc1_artefact_is_pinned(uc1_file, tmp_path, gantt_format):
     assert written == UC1_ARTEFACT_SHA256[gantt_format]
 
 
+def _net_from_files(summary: dict, gcl: list[dict], d_hop) -> NetSchedule:
+    """The network schedule a written GCL and its summary describe."""
+    windows = tuple(FrameWindow(port["port"], e["stream"], e["instance"],
+                                time_from_json(e["open_us"]),
+                                time_from_json(e["close_us"]))
+                    for port in gcl for e in port["entries"])
+    rows = summary["streams"]
+    return NetSchedule(
+        summary["cycle_us"], d_hop,
+        {r["id"]: time_from_json(r["offset_us"]) for r in rows}, windows,
+        {r["id"]: StreamTiming(time_from_json(r["ed_us"]),
+                               time_from_json(r["jitter_us"])) for r in rows})
+
+
+def test_written_uc1_files_verify(uc1, uc1_net, uc1_file, tmp_path):
+    # what is written, read back: gcl.json with the report's offsets, delays
+    # and jitters, and every node table
+    assert run_pipeline(uc1_file, out=tmp_path / "report.json",
+                        gantt_dir=tmp_path)[0] == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    gcl = json.loads((tmp_path / "gcl.json").read_text())
+    ns = _net_from_files(report["net"], gcl, uc1.params.d_hop_us)
+    assert verify_net_schedule(ns, uc1).ok
+    assert set(ns.windows) == set(uc1_net.windows)
+    assert (ns.offsets, ns.per_stream) == (uc1_net.offsets, uc1_net.per_stream)
+    tables = sorted(tmp_path.glob("node_*.json"))
+    assert [p.stem for p in tables] == [f"node_{n['node']}" for n in report["nodes"]]
+    for path in tables:
+        table = node_schedule_from_json(json.loads(path.read_text()))
+        assert verify_node_schedule(table).ok, path.name
+
+
+@pytest.mark.parametrize("d_hop", [0, 2, Fraction(3, 10)])
+def test_written_net_schedules_verify(tmp_path, d_hop):
+    rng = random.Random(f"written {d_hop}")
+    checked = 0
+    for i in range(12):
+        s = line_scenario(rng, d_hop=d_hop)
+        try:  # keep the scenarios a small search schedules
+            synthesize_gcl(s, node_budget=2000)
+        except InfeasibleError:
+            continue
+        fog, out, gantt = (tmp_path / f"{i}.fog", tmp_path / f"{i}.json",
+                           tmp_path / f"gantt{i}")
+        fog.write_text(scenario_to_text(s))
+        assert main(["net-schedule", str(fog), "-o", str(out),
+                     "--gantt", str(gantt)]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        gcl = json.loads((gantt / "gcl.json").read_text())
+        assert verify_net_schedule(_net_from_files(summary, gcl, s.params.d_hop_us),
+                                   s).ok
+        checked += 1
+    assert checked >= 4
+
+
 @pytest.mark.parametrize("command, verifier", [
     ("net-schedule", "verify_net_schedule"),
     ("node-schedule", "verify_node_schedule"),
@@ -347,6 +410,55 @@ def test_pipeline_rejected_schedule_exits_2(uc1_file, tmp_path, monkeypatch,
     assert {p.name for p in gantt.iterdir()} == written
 
 
+def _reject_secured_schedule(monkeypatch):
+    """Make the second network verification, the secured one, fail."""
+    real = pipeline.verify_net_schedule
+    calls = []
+
+    def verify(ns, s):
+        calls.append(s)
+        if len(calls) == 2:
+            return Report((Violation("overlap", "x", "injected"),))
+        return real(ns, s)
+
+    monkeypatch.setattr(pipeline, "verify_net_schedule", verify)
+    return calls
+
+
+def test_pipeline_rejected_secured_schedule_exits_2(uc1_file, tmp_path,
+                                                    monkeypatch):
+    calls = _reject_secured_schedule(monkeypatch)
+    out, gantt = tmp_path / "report.json", tmp_path / "gantt"
+    assert main(["pipeline", str(uc1_file), "-o", str(out),
+                 "--gantt", str(gantt)]) == 2
+    assert len(calls) == 2
+    assert max(st.size_bytes for st in calls[1].streams) \
+        > max(st.size_bytes for st in calls[0].streams)  # the grown frames
+    report = json.loads(out.read_text())
+    assert report["net"]["verification"] == "clean"
+    assert report["tesla"]["verification"] == ["[overlap] x: injected"]
+    # the plain schedules passed their verifiers, so their files are written
+    assert "gcl.json" in {p.name for p in gantt.iterdir()}
+
+
+def test_tesla_rejected_secured_schedule_exits_2(uc1_file, tmp_path,
+                                                 monkeypatch, capsys):
+    _reject_secured_schedule(monkeypatch)
+    out = tmp_path / "tesla.json"
+    assert main(["tesla", str(uc1_file), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "verification failed: [overlap] x: injected\n"
+    assert not out.exists()
+
+
+def test_tesla_block_equals_the_pipeline_block(uc1_file, tmp_path):
+    out = tmp_path / "tesla.json"
+    assert main(["tesla", str(uc1_file), "-o", str(out)]) == 0
+    _, report = run_pipeline(uc1_file)
+    assert json.loads(out.read_text()) == report["tesla"]
+    assert "verification" not in report["tesla"]
+
+
 def _admit(core="0", horizon="30"):
     return ["admit", "UC1", "--dynamic", "DYN", "--node", "E4", "--core", core,
             "--horizon", horizon]
@@ -360,6 +472,8 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
     (["tesla", "UC1", "--disclosure", "-1"], None),
     (_admit(), {}),
     (_admit(), {"tasks": [{"wcet_us": 100, "period_ms": 10}]}),
+    (_admit(), {"tasks": [{"id": None, "wcet_us": 100, "period_ms": 10}]}),
+    (_admit(), {"tasks": [{"id": 7, "wcet_us": 100, "period_ms": 10}]}),
     (_admit(), {"tasks": [{"id": "d", "period_ms": 10}]}),
     (_admit(), {"tasks": [{"id": "d", "wcet_us": 100}]}),
     # JSON true is no whole number, though Python's bool is an int
@@ -375,7 +489,8 @@ _ONE_TASK = {"tasks": [{"id": "d", "wcet_us": 100, "period_ms": 10}]}
     (["pipeline"], None),
     (_admit(core="x"), _ONE_TASK),
     (["net-schedule", "UC1", "--format", "png"], None),
-], ids=["interval-0", "disclosure-negative", "no-tasks", "no-id", "no-wcet",
+], ids=["interval-0", "disclosure-negative", "no-tasks", "no-id", "id-null",
+        "id-int", "no-wcet",
         "no-period", "period-us-true", "period-ms-true", "deadline-true",
         "horizon-0", "core-7", "duplicate-id", "no-command", "no-scenario",
         "core-not-int", "format-png"])
@@ -451,4 +566,15 @@ def test_admit_verifies_a_loaded_schedule(uc1_file, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "verification failed: [reference] " + missing in err
+    assert not out.exists()
+
+
+def test_admit_rejects_a_zero_frame_with_slices(uc1_file, tmp_path, capsys):
+    # admitting over such a table would tile a frame of 0 us
+    doc = _base_schedule_doc()
+    doc["major_frame_us"] = 0
+    doc["per_core_utilization"] = [0] * len(doc["per_core_utilization"])
+    code, out = _admit_schedule(uc1_file, tmp_path, json.dumps(doc))
+    assert code == 2
+    assert "which the major frame of 0 us does not hold" in capsys.readouterr().err
     assert not out.exists()

@@ -11,9 +11,9 @@ from gcl_reference import gap_variance
 from genutil import random_apps
 from fogweaver import extensibility
 from fogweaver.extensibility import (
+    _idle_gaps,
     admit_dynamic,
     ext_metric,
-    idle_profile,
     optimize_extensibility,
 )
 from fogweaver.fixtures import (
@@ -63,29 +63,37 @@ def optimized():
     return extensibility_schedule("optimized")
 
 
-# -- idle profile -----------------------------------------------------------
+# -- idle gaps --------------------------------------------------------------
+
+
+def _gaps(ns, core):
+    """The idle gaps of one core over the major frame."""
+    return _idle_gaps([(sl.start_us, sl.end_us) for sl in ns.core_slices(core)],
+                      ns.major_frame_us)
+
+
+def _idle_total(ns, core):
+    return sum((b - a for a, b in _gaps(ns, core)), Fraction(0))
 
 
 def test_empty_core_is_one_big_gap():
     ns = _schedule([_app("a", 1, 1, 10_000, "0.3")], cores=2)
-    profile = idle_profile(ns, 1)
-    assert profile.intervals == ((0, 10_000),)
+    assert _gaps(ns, 1) == [(0, 10_000)]
 
 
 def test_fully_busy_core_has_no_gaps():
     ns = _schedule([_app("a", 1, 1, 10_000, "1.0")])
-    assert idle_profile(ns, 0).intervals == ()
+    assert _gaps(ns, 0) == []
 
 
 def test_idle_complement():
     ns = _schedule([_app("a", 1, 1, 10_000, "0.3"),
                     _app("b", 1, 1, 5_000, "0.4")])
     # EDF: b0 [0,2000), a0 [2000,5000), b1 [5000,7000); idle [7000,10000)
-    profile = idle_profile(ns, 0)
     total_busy = sum((sl.duration_us for sl in ns.slices), Fraction(0))
-    assert profile.total_us == ns.major_frame_us - total_busy
+    assert _idle_total(ns, 0) == ns.major_frame_us - total_busy
     busy = sorted((sl.start_us, sl.end_us) for sl in ns.slices)
-    for a, b in profile.intervals:
+    for a, b in _gaps(ns, 0):
         assert all(b <= s or e <= a for s, e in busy)
 
 
@@ -108,7 +116,7 @@ def test_metric_arithmetic_two_gaps():
     )
     # hand-built two-slice layout is only used to measure gaps
     crafted = replace(ns, slices=slices)
-    assert idle_profile(crafted, 0).intervals == ((0, 2000), (10_000, 14_000))
+    assert _gaps(crafted, 0) == [(0, 2000), (10_000, 14_000)]
     assert ext_metric(crafted, 0) == pytest.approx(0.05)
 
 
@@ -334,6 +342,58 @@ def test_no_idle_means_every_job_misses():
     assert report.dynamic_slices == ()
 
 
+def test_node_without_static_tasks_is_idle_throughout():
+    ns = _schedule([], cores=1)
+    assert ns.major_frame_us == 0 and ns.slices == ()
+    dynamic = [TaskSpec("d", Fraction(2500), 10_000),
+               TaskSpec("e", Fraction(1, 3), 4_000)]
+    report = admit_dynamic(ns, 0, dynamic, 20_000)
+    assert report.admitted == {"d": True, "e": True}
+    # EDF over [0, 20 ms): e3 (deadline 16 ms) preempts d1 (deadline 20 ms)
+    assert [(sl.task, sl.job_index, sl.start_us, sl.end_us)
+            for sl in report.dynamic_slices] == [
+        ("e", 0, 0, Fraction(1, 3)), ("d", 0, Fraction(1, 3), Fraction(7501, 3)),
+        ("e", 1, 4000, Fraction(12001, 3)), ("e", 2, 8000, Fraction(24001, 3)),
+        ("d", 1, 10_000, 12_000), ("e", 3, 12_000, Fraction(36001, 3)),
+        ("d", 1, Fraction(36001, 3), Fraction(37501, 3)),
+        ("e", 4, 16_000, Fraction(48001, 3))]
+
+
+def test_zero_frame_with_slices_is_rejected(base):
+    # a loaded table that was never verified may hold slices in a zero frame
+    broken = replace(base, major_frame_us=0)
+    dynamic = dynamic_logging_tasks()
+    horizon = math.lcm(*(t.period_us for t in (*dynamic, *base.tasks.values())))
+    with pytest.raises(ValueError, match=rf"major frame 0 us holds slices on "
+                                         rf"core {EXTENSIBILITY_CORE}"):
+        admit_dynamic(broken, EXTENSIBILITY_CORE, dynamic, horizon)
+
+
+def test_frame_longer_than_the_horizon_cycle_repeats(base):
+    # a loaded schedule may list two repetitions of its tasks' hyperperiod;
+    # over a horizon of three hyperperiods its second frame starts again
+    frame = base.major_frame_us
+    core = EXTENSIBILITY_CORE
+    doubled = replace(
+        base, major_frame_us=2 * frame,
+        slices=base.slices + tuple(
+            replace(sl, start_us=sl.start_us + frame, end_us=sl.end_us + frame,
+                    job_index=sl.job_index + frame // base.tasks[sl.task].period_us)
+            for sl in base.slices),
+        partitions=tuple(replace(p, windows=p.windows + tuple(
+            (a + frame, b + frame) for a, b in p.windows)) for p in base.partitions))
+    assert verify_node_schedule(doubled).ok
+    horizon = 3 * frame
+    # y's last job is due after the horizon, which ends its time to run
+    dynamic = [TaskSpec("x", Fraction(500), 6000),
+               TaskSpec("y", Fraction(6000), 10_000, deadline_us=25_000)]
+    report = admit_dynamic(doubled, core, dynamic, horizon)
+    assert report == admit_dynamic(base, core, dynamic, horizon)
+    assert report.admitted == {"x": True, "y": False}
+    assert [(m.task, m.release_us) for m in report.misses] == [("y", 80_000)]
+    assert max(sl.end_us for sl in report.dynamic_slices) <= horizon
+
+
 def test_standard_workload_on_optimized_fixture(optimized):
     report = admit_dynamic(optimized, EXTENSIBILITY_CORE,
                            dynamic_logging_tasks(), 120_000)
@@ -369,7 +429,7 @@ def test_capacity_bound(base):
                            dynamic_logging_tasks(), 120_000)
     granted = sum((d.end_us - d.start_us for d in report.dynamic_slices),
                   Fraction(0))
-    idle_per_frame = idle_profile(base, EXTENSIBILITY_CORE).total_us
+    idle_per_frame = _idle_total(base, EXTENSIBILITY_CORE)
     assert granted <= idle_per_frame * (120_000 // base.major_frame_us)
 
 

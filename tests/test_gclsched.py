@@ -16,6 +16,7 @@ from genutil import (brute_force_feasible, chain_scenario, line_scenario,
 from fogweaver.errors import FogweaverError, InfeasibleError
 from fogweaver.gclsched import (
     NetSchedule,
+    StreamTiming,
     _forbidden_offsets,
     _TickStream,
     gcl_export,
@@ -262,12 +263,16 @@ def test_verifier_flags_window_length(uc1, uc1_net):
 
 
 def _shift_stream(ns: NetSchedule, stream: str, delta) -> NetSchedule:
+    """Move a stream's windows and offset, and its recorded delay with them."""
     windows = tuple(
         replace(w, open_us=w.open_us + delta, close_us=w.close_us + delta)
         if w.stream == stream else w for w in ns.windows)
     offsets = dict(ns.offsets)
     offsets[stream] += delta
-    return replace(ns, windows=windows, offsets=offsets)
+    per_stream = dict(ns.per_stream)
+    per_stream[stream] = replace(per_stream[stream],
+                                 ed_us=per_stream[stream].ed_us + delta)
+    return replace(ns, windows=windows, offsets=offsets, per_stream=per_stream)
 
 
 def test_verifier_flags_deadline():
@@ -325,6 +330,37 @@ def test_verifier_flags_windows_of_an_undeclared_stream(uc1, uc1_net):
     mutant = replace(uc1_net, windows=uc1_net.windows + stray)
     report = verify_net_schedule(mutant, uc1)
     assert [v.subject for v in report.of_kind("containment")] == ["ghost"]
+
+
+def test_verifier_flags_recorded_timing(uc1, uc1_net):
+    # the report prints ED and jitter from per_stream, so a wrong record is
+    # a wrong report even when every window is right
+    first = uc1.streams[0].id
+    per_stream = dict(uc1_net.per_stream)
+    per_stream[first] = StreamTiming(ed_us=Fraction(-500), jitter_us=Fraction(7))
+    report = verify_net_schedule(replace(uc1_net, per_stream=per_stream), uc1)
+    assert report.kinds() == {"timing"}
+    assert [str(v) for v in report] == [
+        f"[timing] {first}: recorded delay -500 us, windows give "
+        f"{uc1_net.per_stream[first].ed_us} us",
+        f"[timing] {first}: recorded jitter 7 us, windows give 0 us"]
+
+
+def test_verifier_flags_recorded_timing_off_the_base(uc1, uc1_net):
+    first = uc1.streams[0].id
+    per_stream = dict(uc1_net.per_stream)
+    per_stream[first] = replace(per_stream[first], jitter_us=Fraction(1, 7))
+    report = verify_net_schedule(replace(uc1_net, per_stream=per_stream), uc1)
+    assert [str(v) for v in report] == [
+        f"[timing] {first}: recorded jitter 1/7 us, windows give 0 us"]
+
+
+def test_verifier_flags_missing_timing(uc1, uc1_net):
+    per_stream = {sid: t for sid, t in uc1_net.per_stream.items()
+                  if sid != "m2 set"}
+    report = verify_net_schedule(replace(uc1_net, per_stream=per_stream), uc1)
+    assert [str(v) for v in report] == [
+        "[missing] m2 set: stream has no recorded timing"]
 
 
 def test_verifier_flags_missing_stream(uc1, uc1_net):

@@ -267,6 +267,22 @@ def test_verifier_flags_deadline_when_slice_removed(e3):
     assert "deadline" in verify_node_schedule(mutant).kinds()
 
 
+def test_verifier_flags_slices_of_jobs_the_frame_does_not_hold(e3):
+    # a zero frame holds no job, so each of its slices is stray; the frame
+    # and utilization checks alone pass such a table
+    zero = replace(e3, major_frame_us=0,
+                   per_core_utilization=tuple(Fraction(0) for _ in range(e3.cores)))
+    report = verify_node_schedule(zero)
+    assert report.kinds() == {"reference"}
+    assert len(report) == len(e3.slices)
+    sl = e3.slices[0]
+    jobs = e3.major_frame_us // e3.tasks[sl.task].period_us
+    assert [str(v) for v in verify_node_schedule(
+        _mutate_slice(e3, 0, job_index=jobs)).of_kind("reference")] == [
+        f"[reference] {sl.task}: slice of job {jobs}, which the major frame of "
+        f"{e3.major_frame_us} us does not hold"]
+
+
 def test_verifier_flags_window_overlap(e3):
     parts = list(e3.partitions)
     p0 = next(p for p in parts if p.windows)

@@ -30,19 +30,22 @@ def overlay_and_secured(uc1, uc1_net):
 
 
 def test_two_tasks_per_secured_stream(overlay_and_secured):
-    overlay, _ = overlay_and_secured
-    assert len(overlay.streams) == 10
+    overlay, secured = overlay_and_secured
+    assert len(secured.streams) == 10
     assert len(overlay.tasks) == 20
-    for s in overlay.streams:
-        assert s.sign.role == "sign" and s.verify.role == "verify"
-        assert s.sign.criticality == s.verify.criticality
+    # sign, then verify, for each stream in the scenario's order
+    for st, sign, verify in zip(secured.streams, overlay.tasks[::2],
+                                overlay.tasks[1::2]):
+        assert sign.role == "sign" and verify.role == "verify"
+        assert sign.stream == verify.stream == st.id
+        assert sign.criticality == verify.criticality
 
 
 def test_frames_grow_by_mac_plus_key(overlay_and_secured, uc1):
-    overlay, secured = overlay_and_secured
-    for s in overlay.streams:
-        assert s.size_after == s.size_before + 32
-        assert secured.stream(s.stream).size_bytes == s.size_after
+    _, secured = overlay_and_secured
+    assert [st.id for st in secured.streams] == [st.id for st in uc1.streams]
+    for st in uc1.streams:
+        assert secured.stream(st.id).size_bytes == st.size_bytes + 32
     assert validate(secured).ok
 
 

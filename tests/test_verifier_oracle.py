@@ -31,7 +31,7 @@ from fogweaver.units import time_to_json
 
 D_HOPS = (0, 2, Fraction(3, 10), Fraction(1, 3))
 KINDS = {"overlap", "missing", "precedence", "window-length", "containment",
-         "deadline", "jitter"}
+         "deadline", "jitter", "timing"}
 # off-grid and on-grid amounts a mutant moves a time by
 DELTAS = (Fraction(1, 7), Fraction(1, 3), -Fraction(1, 3), Fraction(1, 10),
           Fraction(-2), Fraction(5), Fraction(40), Fraction(200))
@@ -96,6 +96,22 @@ def _mutate(rng, s, ns):
     return replace(ns, windows=tuple(windows), offsets=offsets, d_hop_us=d_hop)
 
 
+def _mutate_timing(rng, ns):
+    """Change, or forget, one stream's recorded delay or jitter."""
+    per_stream = dict(ns.per_stream)
+    sid = rng.choice(sorted(per_stream))
+    timing = per_stream[sid]
+    delta = rng.choice(DELTAS)
+    op = rng.randrange(3)
+    if op == 0:
+        per_stream[sid] = replace(timing, ed_us=timing.ed_us + delta)
+    elif op == 1:
+        per_stream[sid] = replace(timing, jitter_us=timing.jitter_us + delta)
+    else:
+        del per_stream[sid]
+    return replace(ns, per_stream=per_stream)
+
+
 def _assert_same(ns, s):
     got, want = verify_net_schedule(ns, s), reference_verify(ns, s)
     assert got.violations == want.violations
@@ -133,6 +149,21 @@ def test_verifier_matches_reference_on_mutants(uc1, uc1_net):
         for kind in _assert_same(ns, s).kinds():
             seen[kind] = seen.get(kind, 0) + 1
     assert set(seen) == KINDS, seen
+
+
+def test_verifier_matches_reference_on_timing_mutants(uc1, uc1_net):
+    rng = random.Random(20261020)
+    bases = _line_schedules(13, 20) + [(uc1, uc1_net)]
+    seen: dict[str, int] = {}
+    for _ in range(300):
+        s, ns = rng.choice(bases)
+        ns = _mutate_timing(rng, ns)
+        if rng.random() < 0.5:  # and sometimes the windows too
+            ns = _mutate(rng, s, ns)
+        report = _assert_same(ns, s)
+        for kind in report.kinds():
+            seen[kind] = seen.get(kind, 0) + 1
+    assert {"timing", "missing"} <= set(seen), seen
 
 
 NODE_KINDS = {"core-overlap", "window-overlap", "containment", "reference",
