@@ -10,14 +10,15 @@ running EDF strictly inside the static schedule's idle gaps; the static
 slices are never touched. ``_idle_gaps`` is a core's idle time: the metric
 takes it over one frame, admission over the static slices tiled over its
 horizon. The metric and the optimizer both score idle gaps in whole ticks
-of ``units.time_base``, exactly.
+of ``units.time_base``, exactly, and the optimizer hands its layouts on in
+those ticks: ``nodesched.with_layouts`` builds the slices and partitions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .nodesched import (
@@ -25,8 +26,8 @@ from .nodesched import (
     TaskSlice,
     _jobs,
     edf,
-    rebuild_partitions,
     verify_node_schedule,
+    with_layouts,
 )
 from .scenario import TaskSpec
 from .units import GRID_US, lcm_all, time_base, to_ticks
@@ -199,10 +200,11 @@ def _climb(starts: list[int], durations: list[int],
     return starts, Fraction(*variance(n, q))
 
 
-def _optimize_core(ns: NodeSchedule, core: int) -> list[TaskSlice] | None:
-    """The best layout of one core's slices, or None when neither climb
-    scores strictly below the current layout. The climb from the current
-    layout comes first and wins ties with the climb from the even spread.
+def _optimize_core(ns: NodeSchedule, core: int) -> tuple[int, list[tuple], bool]:
+    """One core's best layout as ``(scale, runs, moved)``: the current one,
+    unmoved, unless a climb scores strictly below it. The climb from the
+    current layout comes first and wins ties with the climb from the even
+    spread.
 
     The core is converted once to exact integer ticks of ``1/scale`` us:
     the time base of the grid and of the slice bounds, times the slice
@@ -210,8 +212,6 @@ def _optimize_core(ns: NodeSchedule, core: int) -> list[TaskSlice] | None:
     too. A layout is the list of slice starts in chronological order.
     """
     ordered = ns.core_slices(core)
-    if not ordered:
-        return None
     scale = time_base((GRID_US,), (t for sl in ordered
                                    for t in (sl.start_us, sl.end_us)))
     scale *= len(ordered) + 1
@@ -235,11 +235,8 @@ def _optimize_core(ns: NodeSchedule, core: int) -> list[TaskSlice] | None:
                               ITERATION_BUDGET)
         if var < best_var:
             best = climbed
-    if best == starts:
-        return None
-    return [replace(sl, start_us=Fraction(s, scale),
-                    end_us=Fraction(s + d, scale))
-            for sl, s, d in zip(ordered, best, durations)]
+    return scale, [(sl.task, sl.job_index, s, s + d)
+                   for sl, s, d in zip(ordered, best, durations)], best != starts
 
 
 def optimize_extensibility(ns: NodeSchedule) -> NodeSchedule:
@@ -251,19 +248,13 @@ def optimize_extensibility(ns: NodeSchedule) -> NodeSchedule:
     climb); plain hill climbing on the original layout is kept instead when
     it scores better. Every intermediate layout respects the job windows
     and core non-overlap, so the output always verifies. The input is
-    returned unchanged when nothing improves.
+    returned unchanged when nothing improves; otherwise
+    :func:`with_layouts` rebuilds it from every core's layout.
     """
-    moved = {}
-    for core in range(ns.cores):
-        layout = _optimize_core(ns, core)
-        if layout is not None:
-            moved[core] = layout
-    if not moved:
+    layouts = [_optimize_core(ns, core) for core in range(ns.cores)]
+    if not any(moved for *_, moved in layouts):
         return ns
-    slices = [sl for sl in ns.slices if sl.core not in moved]
-    for layout in moved.values():
-        slices += layout
-    out = rebuild_partitions(replace(ns, slices=tuple(slices)))
+    out = with_layouts(ns, [(scale, runs) for scale, runs, _ in layouts])
     report = verify_node_schedule(out)
     if not report.ok:  # a move broke an invariant: a bug, never user error
         raise AssertionError(f"optimizer produced an invalid schedule:\n{report}")
@@ -313,7 +304,7 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
                     for sl in own
                     for off in range(0, horizon_us, ns.major_frame_us)
                     if sl.start_us + off < horizon_us)
-    runs, missed = edf(_jobs(dynamic, horizon_us), _idle_gaps(static, horizon_us))
+    scale, runs, missed = edf(_jobs(dynamic, horizon_us), _idle_gaps(static, horizon_us))
 
     misses = sorted((DeadlineMiss(task, release, deadline)
                      for release, deadline, task, *_ in missed),
@@ -321,6 +312,6 @@ def admit_dynamic(ns: NodeSchedule, core: int, dynamic: list[TaskSpec],
     admitted = {t.id: True for t in dynamic}
     for m in misses:
         admitted[m.task] = False
-    slices = tuple(TaskSlice(task, core, DYNAMIC_PARTITION, start, end, k)
-                   for task, k, start, end in runs)
+    slices = tuple(TaskSlice(task, core, DYNAMIC_PARTITION, Fraction(a, scale),
+                             Fraction(b, scale), k) for task, k, a, b in runs)
     return AdmissionReport(admitted, tuple(misses), slices)

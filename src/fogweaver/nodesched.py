@@ -5,11 +5,11 @@ number of cores. Tasks are bin-packed onto cores (first-fit decreasing by
 utilization, no migration); a core whose tasks include a deadline shorter
 than its period takes a task only when EDF over one hyperperiod from a
 synchronous release meets every deadline. Each core is scheduled with
-preemptive EDF over the node's major frame, and maximal contiguous runs of
-same-criticality execution are wrapped into partition windows, yielding
-one partition per criticality level per core. The verifier re-derives
-every property of a finished schedule from the slices alone, on an integer
-time base it derives from the schedule itself.
+preemptive EDF over the node's major frame in integer ticks, and
+:func:`with_layouts` turns the runs into slices and merges each level's
+back-to-back runs on a core into the windows of one partition per level.
+The verifier re-derives every property of a finished schedule from the
+slices alone, on an integer time base it derives from the schedule itself.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _edf_fits(tasks: list[NodeTask]) -> bool:
     if all(t.deadline_us == t.period_us for t in tasks):
         return True
     frame = hyperperiod([t.period_us for t in tasks])
-    return not edf(_jobs(tasks, frame), [(0, frame)])[1]
+    return not edf(_jobs(tasks, frame), [(0, frame)])[2]
 
 
 def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
@@ -118,7 +118,8 @@ def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
     A core takes a task when its utilization stays at most 1 and EDF
     schedules its tasks (:func:`_edf_fits`). Tasks never migrate. Raises
     :class:`InfeasibleError` naming the tasks that do not fit when the
-    packing fails.
+    packing fails, with ``gave_up`` unless the total utilization exceeds
+    ``cores``: first-fit is a heuristic, and its failure proves nothing.
     """
     if cores < 1:
         raise ValueError(f"need at least one core, got {cores}")
@@ -144,11 +145,11 @@ def map_to_cores(apps: list[ApplicationSpec], cores: int) -> dict[str, int]:
         raise InfeasibleError(
             f"cannot pack tasks onto {cores} cores "
             f"(total utilization {float(total):.3f})",
-            unplaced=unplaced)
+            unplaced=unplaced, gave_up=total <= cores)
     return mapping
 
 
-def edf(jobs: list[tuple], intervals) -> tuple[list[tuple], list[tuple]]:
+def edf(jobs: list[tuple], intervals) -> tuple[int, list[tuple], list[tuple]]:
     """Event-driven preemptive EDF of ``jobs`` inside the ``intervals``.
 
     A job is ``(release, deadline, task, job, wcet)``; ``intervals`` are
@@ -160,8 +161,8 @@ def edf(jobs: list[tuple], intervals) -> tuple[list[tuple], list[tuple]]:
     ticks of ``1/scale`` us, ``scale`` being the :func:`time_base` of the
     input.
 
-    Returns the runs ``(task, job, start, end)``, consecutive runs of one
-    job merged, and the dropped jobs.
+    Returns ``scale``, the runs ``(task, job, start, end)`` in ticks,
+    consecutive runs of one job merged, and the dropped jobs.
     """
     scale = time_base((x for j in jobs for x in (j[0], j[1], j[4])),
                       (x for iv in intervals for x in iv))
@@ -199,8 +200,7 @@ def edf(jobs: list[tuple], intervals) -> tuple[list[tuple], list[tuple]]:
             if entry[4] == 0:
                 heapq.heappop(ready)
     missed += [entry[5] for *_, entry in ready] + [e[5] for e in pending]
-    return [(task, k, Fraction(a, scale), Fraction(b, scale))
-            for task, k, a, b in runs], missed
+    return scale, runs, missed
 
 
 def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
@@ -209,8 +209,8 @@ def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
 
     ``mapping`` assigns every task (see :func:`node_tasks`) to a core.
     Per core, jobs are laid out by preemptive EDF over the node's major
-    frame (LCM of all task periods on the node); contiguous runs of
-    same-criticality execution become partition windows.
+    frame (LCM of all task periods on the node), and :func:`with_layouts`
+    turns the runs into slices and partition windows.
     """
     tasks = node_tasks(apps)
     task_map = {t.id: t for t in tasks}
@@ -226,44 +226,51 @@ def synthesize_node_schedule(node: FogNodeSpec, apps: list[ApplicationSpec],
                             (), tuple(Fraction(0) for _ in range(node.cores)))
 
     major_frame = hyperperiod([t.period_us for t in tasks])
-    slices: list[TaskSlice] = []
-    util = []
+    layouts = []
     for core in range(node.cores):
-        runs, missed = edf(_jobs([t for t in tasks if mapping[t.id] == core],
-                                 major_frame), [(0, major_frame)])
+        on_core = [t for t in tasks if mapping[t.id] == core]
+        scale, runs, missed = edf(_jobs(on_core, major_frame), [(0, major_frame)])
         if missed:
             _, deadline, task, k, _ = min(missed, key=lambda j: j[1:4])
             raise InfeasibleError(
                 f"node {node.id} core {core}: job {task}#{k} misses its "
                 f"deadline {deadline} us", unplaced=[task])
-        slices += [TaskSlice(task, core, "", start, end, k)
-                   for task, k, start, end in runs]
-        util.append(sum((end - start for *_, start, end in runs), Fraction(0))
-                    / major_frame)
-    bare = NodeSchedule(node.id, node.cores, major_frame, task_map,
-                        (), tuple(slices), tuple(util))
-    return rebuild_partitions(bare)
+        layouts.append((scale, runs))
+    return with_layouts(NodeSchedule(node.id, node.cores, major_frame, task_map,
+                                     (), (), ()), layouts)
 
 
-def rebuild_partitions(ns: NodeSchedule) -> NodeSchedule:
-    """Re-derive partition windows from the slices (after slices moved)."""
-    partitions: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
-    new_slices = []
-    for core in range(ns.cores):
-        for sl in ns.core_slices(core):
-            lvl = ns.tasks[sl.task].criticality
-            key = (core, lvl)
-            wins = partitions.setdefault(key, [])
-            if wins and wins[-1][1] == sl.start_us:
-                wins[-1] = (wins[-1][0], sl.end_us)
+def with_layouts(ns: NodeSchedule, layouts) -> NodeSchedule:
+    """``ns`` with the slices, partitions and utilizations of one integer
+    layout per core.
+
+    ``layouts[core]`` is ``(scale, runs)``: the core's runs ``(task, job,
+    start, end)`` in chronological order, in ticks of ``1/scale`` us. Each
+    run becomes a slice of the partition of its task's level on that core,
+    and a level's back-to-back runs merge into one window, compared in
+    ticks; every bound becomes a ``Fraction`` once.
+    """
+    slices, partitions, util = [], [], []
+    for core, (scale, runs) in enumerate(layouts):
+        # per level, its windows as [end in ticks, start us, end us]
+        windows: dict[int, list[list]] = {}
+        for task, k, start, end in runs:
+            level = ns.tasks[task].criticality
+            a, b = Fraction(start, scale), Fraction(end, scale)
+            wins = windows.setdefault(level, [])
+            if wins and wins[-1][0] == start:
+                wins[-1][0], wins[-1][2] = end, b
             else:
-                wins.append((sl.start_us, sl.end_us))
-            new_slices.append(replace(sl, partition=f"{ns.node}.c{core}.L{lvl}"))
-    partition_objs = tuple(
-        Partition(f"{ns.node}.c{core}.L{lvl}", ns.node, lvl, core, tuple(wins))
-        for (core, lvl), wins in sorted(partitions.items())
-    )
-    return replace(ns, partitions=partition_objs, slices=tuple(new_slices))
+                wins.append([end, a, b])
+            slices.append(TaskSlice(task, core, f"{ns.node}.c{core}.L{level}",
+                                    a, b, k))
+        partitions += [Partition(f"{ns.node}.c{core}.L{level}", ns.node, level,
+                                 core, tuple((a, b) for _, a, b in wins))
+                       for level, wins in sorted(windows.items())]
+        util.append(Fraction(sum(end - start for *_, start, end in runs),
+                             scale * ns.major_frame_us))
+    return replace(ns, partitions=tuple(partitions), slices=tuple(slices),
+                   per_core_utilization=tuple(util))
 
 
 def verify_node_schedule(ns: NodeSchedule) -> Report:

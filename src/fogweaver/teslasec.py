@@ -114,7 +114,7 @@ def apply_tesla(s: Scenario, ns: NetSchedule, cfg: TeslaConfig
         except InfeasibleError as exc:
             raise InfeasibleError(
                 f"node {node.id} cannot absorb its security tasks",
-                unplaced=exc.unplaced) from exc
+                unplaced=exc.unplaced, gave_up=exc.gave_up) from exc
 
     return SecurityOverlay(tuple(tasks)), secured_scenario
 

@@ -19,16 +19,20 @@ verdict, message or byte. ``verify_node_schedule`` and ``emit_gantt`` also
 scale their times to integers; ``reference_verify_node`` and
 ``reference_emit_gantt`` are their checks and charts on ``Fraction``.
 
-Two node-side oracles close the module. ``map_to_cores`` tests a core with
-constrained deadlines by running EDF; ``demand_fits`` is the
+Three node-side oracles close the module. ``map_to_cores`` tests a core
+with constrained deadlines by running EDF; ``demand_fits`` is the
 processor-demand test on ``Fraction`` that it must agree with. The
 extensibility metric and climb keep the idle-gap variance on integer ticks;
 ``gap_variance`` computes it from the mean on ``Fraction``.
+``nodesched.with_layouts`` names each slice's partition and merges windows
+on integer ticks; ``rebuild_partitions`` derives both from the slices'
+``Fraction`` bounds.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from fogweaver.errors import InfeasibleError
@@ -36,6 +40,7 @@ from fogweaver.gantt import _PALETTE, _esc
 from fogweaver.gclsched import (DEFAULT_NODE_BUDGET, FrameWindow, NetSchedule,
                                 _TickStream)
 from fogweaver.netmodel import resolve_route, transmission_time
+from fogweaver.nodesched import Partition
 from fogweaver.reporting import ReportBuilder
 from fogweaver.scenario import hyperperiod
 from fogweaver.units import GRID_US
@@ -630,3 +635,24 @@ def gap_variance(busy_sorted, frame):
     mean = sum(gaps, Fraction(0)) / n
     var = sum(((g - mean) ** 2 for g in gaps), Fraction(0)) / n
     return n, var
+
+
+def rebuild_partitions(ns):
+    """``ns`` with partition windows re-derived from its slices: on each
+    core, a level's back-to-back slices merge into one window, and every
+    slice names the partition of its task's level on its core."""
+    partitions: dict[tuple[int, int], list[tuple[Fraction, Fraction]]] = {}
+    new_slices = []
+    for core in range(ns.cores):
+        for sl in ns.core_slices(core):
+            lvl = ns.tasks[sl.task].criticality
+            wins = partitions.setdefault((core, lvl), [])
+            if wins and wins[-1][1] == sl.start_us:
+                wins[-1] = (wins[-1][0], sl.end_us)
+            else:
+                wins.append((sl.start_us, sl.end_us))
+            new_slices.append(replace(sl, partition=f"{ns.node}.c{core}.L{lvl}"))
+    partition_objs = tuple(
+        Partition(f"{ns.node}.c{core}.L{lvl}", ns.node, lvl, core, tuple(wins))
+        for (core, lvl), wins in sorted(partitions.items()))
+    return replace(ns, partitions=partition_objs, slices=tuple(new_slices))

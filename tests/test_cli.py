@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -148,6 +149,31 @@ def test_pipeline_marks_a_give_up(uc1_file, tmp_path, monkeypatch, capsys):
         "unplaced: S1 data\n")
 
 
+# first-fit puts both 4 ms tasks on one core and has no room for the last
+# 3 ms one, although {4, 3, 3} per core is a valid EDF partition
+_FIRST_FIT_FAILS = "node E1 { cores 2 class 1 }\n" + "".join(
+    f'app "{a}" on E1 {{ level 1 tasks 3 period 10ms util 1\n'
+    f'  task "{a}0" wcet 4000us period 10ms\n'
+    f'  task "{a}1" wcet 3000us period 10ms\n'
+    f'  task "{a}2" wcet 3000us period 10ms }}\n' for a in "ab")
+
+
+def test_failed_first_fit_is_a_give_up(tmp_path, capsys):
+    path = tmp_path / "first_fit.fog"
+    path.write_text(_FIRST_FIT_FAILS)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["node-schedule", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "gave up: cannot pack tasks onto 2 cores (total utilization 2.000)\n"
+        "unplaced: b2\n")
+    out = tmp_path / "report.json"
+    assert main(["pipeline", str(path), "-o", str(out)]) == 2
+    assert json.loads(out.read_text())["nodes"] == [{
+        "infeasible": "cannot pack tasks onto 2 cores (total utilization 2.000)",
+        "unplaced": ["b2"], "gave_up": True}]
+
+
 @pytest.mark.parametrize("argv", [
     ["pipeline", "UC1", "--seed", "1"],
     ["net-schedule", "UC1", "--seed", "1"],
@@ -241,42 +267,32 @@ def test_tesla_subcommand(uc1_file, tmp_path):
     assert doc["avg_delta_us"] > 0
 
 
-# sha256 of the uc1 report; a change to any reported figure changes it
-UC1_REPORT_SHA256 = "6d68308359a0d4ff218837ed8b1b55ce2c375ce438039a2e5a94f92266ed4bf6"
+def _uc1_manifest() -> dict[str, dict[str, str]]:
+    """sha256 of every file the uc1 pipeline writes with a chart directory,
+    per chart format, read from the ``"<sha256>  <format>/<file>"`` lines
+    that CI also checks with ``sha256sum -c`` under ``python -O``."""
+    digests: dict[str, dict[str, str]] = {}
+    manifest = pathlib.Path(__file__).with_name("uc1_outputs.sha256")
+    for line in manifest.read_text(encoding="utf-8").splitlines():
+        digest, path = line.split("  ")
+        gantt_format, name = path.split("/")
+        digests.setdefault(gantt_format, {})[name] = digest
+    return digests
 
 
-# sha256 of every file the uc1 pipeline writes with a chart directory, per
-# chart format; the JSON tables are the same in both
-_UC1_TABLES = {
-    "gcl.json": "3d119e282f52a0bd0cde7cfa9ba5861423978891f7c740bea57037ab961a656e",
-    "node_E1.json": "a8887fb383a13e8c463238cd6676bc6834cd4b68b2bfdbafb9ee348f23c92a9f",
-    "node_E2.json": "2dffdb8fc063a32dfe1a3f19d961e195f721691c99ab5bf1f6fc4a5b2958bd97",
-    "node_E3.json": "9865e0b323965fec225a03d681f0ea0b6568d41a440f40e0873d3dfc610d162e",
-    "node_E4.json": "d21fe2aba97521facf7112a21ea97133cf674b8ae6f3750a6328425a915e32aa",
-    "node_E5.json": "625b97b227044e38b61d2d645fc356670a04ce7cad8e21c0fb0395acb577b27b",
-}
-UC1_ARTEFACT_SHA256 = {
-    "svg": {
-        **_UC1_TABLES,
-        "report.json": UC1_REPORT_SHA256,
-        "net.svg": "b0a60348399bc339b81e820407a50cc2ce188839d4962b0a663cbdde81e0f72c",
-        "node_E1.svg": "63fefafa1e09ce0e96070709b07a464f6de191e232956c462bef88d853cc51b7",
-        "node_E2.svg": "0104f8bf7daecafc5a45fc6195d658288eb329ceb7c80118490a54d498bc7e1f",
-        "node_E3.svg": "d7a5720f24e48f866c09f712f831791cedfcc0397c645f374ca131732d17a48f",
-        "node_E4.svg": "e90766f8ed895cafaeeb1f07e7fa2c9d89924a6603c485e54f4e1134a89083cb",
-        "node_E5.svg": "792b9c4cc96b10cd462d458d470e16f26af881f040907c19cb36204e2261434b",
-    },
-    "ascii": {
-        **_UC1_TABLES,
-        "report.json": UC1_REPORT_SHA256,
-        "net.txt": "792e195ab02743f469baac737183f2f1cbae1bf6dda25e6bb77a1e62faf05742",
-        "node_E1.txt": "e46cb707c4a371101c78924e1213bd6390a21c23fb6793dcd7ce817eaed67a16",
-        "node_E2.txt": "a663563048f1b18ca4ac4a5cba1a4818b7425cd7a1011d420a62beb73c3378a3",
-        "node_E3.txt": "a922c13053bb08a4ab0f112e21d75b0979553c41829c0e9b36a5aa20f7bbec52",
-        "node_E4.txt": "97ec337f22aa272adffee844fec60eea23ad7b9d801d2b9759af5cb4797cb9da",
-        "node_E5.txt": "01d3f1bec9292663e37a13666db4e2ab2e2f48f109cf4cd130ceacb50e774f60",
-    },
-}
+UC1_ARTEFACT_SHA256 = _uc1_manifest()
+# a change to any reported figure changes the report's digest
+UC1_REPORT_SHA256 = UC1_ARTEFACT_SHA256["svg"]["report.json"]
+
+
+def test_uc1_manifest_pins_one_report_and_table_set():
+    # the report and the JSON tables do not depend on the chart format
+    json_files = [{name: digest for name, digest in files.items()
+                   if name.endswith(".json")}
+                  for files in UC1_ARTEFACT_SHA256.values()]
+    assert sorted(UC1_ARTEFACT_SHA256) == ["ascii", "svg"]
+    assert json_files[0] == json_files[1]
+    assert len(json_files[0]) == 7
 
 
 def test_run_pipeline_api(uc1_file, tmp_path):

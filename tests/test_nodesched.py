@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from gcl_reference import demand_fits
+from gcl_reference import demand_fits, rebuild_partitions
 from genutil import random_apps
 from fogweaver.errors import InfeasibleError
+from fogweaver.extensibility import optimize_extensibility
+from fogweaver.fixtures import extensibility_schedule
 from fogweaver.nodesched import (
     map_to_cores,
     node_schedule_from_json,
@@ -16,8 +18,10 @@ from fogweaver.nodesched import (
     synthesize_node_schedule,
     utilization_report,
     verify_node_schedule,
+    with_layouts,
 )
 from fogweaver.scenario import ApplicationSpec, FogNodeSpec, TaskSpec
+from fogweaver.units import time_base, to_ticks
 
 
 def _app(name, node, level, tasks, period_us, util):
@@ -76,6 +80,22 @@ def test_map_overload_is_infeasible():
     with pytest.raises(InfeasibleError) as exc:
         map_to_cores(apps, 2)
     assert exc.value.unplaced
+    assert not exc.value.gave_up  # utilization 2.4 on 2 cores: a proof
+
+
+def test_map_first_fit_failure_is_a_give_up():
+    # first-fit puts both 4 ms tasks on core 0 and has no room for the last
+    # 3 ms one, although {4, 3, 3} per core is a valid EDF partition
+    apps = [ApplicationSpec(a, "N", 1, 3, 10_000, Fraction(1),
+                            tuple(TaskSpec(f"{a}/t{k}", wcet, 10_000)
+                                  for k, wcet in enumerate((4000, 3000, 3000))))
+            for a in ("a", "b")]
+    with pytest.raises(InfeasibleError) as exc:
+        map_to_cores(apps, 2)
+    assert exc.value.gave_up
+    assert exc.value.unplaced == ("b/t2",)
+    assert _synthesizes(apps, 2, {"a/t0": 0, "a/t1": 0, "a/t2": 0,
+                                  "b/t0": 1, "b/t1": 1, "b/t2": 1})
 
 
 def _task_app(task_id, wcet_us, period_us, deadline_us, level=1):
@@ -104,11 +124,13 @@ def test_map_constrained_deadlines_apart():
     assert _synthesizes(apps, 2, mapping)
 
 
-def _random_constrained_apps(rng):
+def _random_constrained_apps(rng, grid=10):
+    """One-task apps, WCETs on ``1/grid`` us, most deadlines constrained."""
     apps = []
     for i in range(rng.randint(1, 6)):
         period = rng.choice((2000, 4000, 5000, 10_000))
-        wcet = Fraction(rng.randint(1, period * 4), 10)  # up to 0.4 of it
+        # up to 0.4 of the period
+        wcet = Fraction(rng.randint(1, period * grid * 4 // 10), grid)
         deadline = (period if rng.random() < 0.3
                     else rng.randint(math.ceil(wcet), period))
         apps.append(_task_app(f"t{i}", wcet, period, deadline,
@@ -213,6 +235,59 @@ def test_isolation_levels_match_partitions(uc1_node_schedules):
         parts = {p.id: p for p in ns.partitions}
         for sl in ns.slices:
             assert parts[sl.partition].criticality == ns.tasks[sl.task].criticality
+
+
+# -- the layout builder --------------------------------------------------------
+
+
+def _layouts(ns, stretch=1):
+    """Each core's slices as ``(scale, runs)`` in ticks, the scale
+    ``stretch`` times the time base of the core's slice bounds."""
+    out = []
+    for core in range(ns.cores):
+        own = ns.core_slices(core)
+        scale = stretch * time_base(t for sl in own for t in (sl.start_us, sl.end_us))
+        out.append((scale, [(sl.task, sl.job_index, to_ticks(sl.start_us, scale),
+                             to_ticks(sl.end_us, scale)) for sl in own]))
+    return out
+
+
+def _builder_cases(uc1_node_schedules):
+    yield from uc1_node_schedules
+    yield extensibility_schedule("base")
+    yield extensibility_schedule("optimized")
+    rng = random.Random(22)
+    for _ in range(60):
+        # equal splits such as 3500/3 us, and explicit WCETs on 1/3 us with
+        # constrained deadlines
+        apps = (random_apps(rng, "N", max_apps=2, max_tasks=3, total_util_limit=0.6)
+                + _random_constrained_apps(rng, grid=3))
+        cores = rng.randint(1, 3)
+        try:
+            mapping = map_to_cores(apps, cores)
+        except InfeasibleError:
+            continue
+        yield synthesize_node_schedule(FogNodeSpec("N", cores=cores), apps, mapping)
+
+
+def test_layout_builder_matches_the_reference(uc1_node_schedules):
+    # the reference derives partitions from Fraction slices; the builder
+    # merges windows on ticks of any scale, for synthesis and the optimizer
+    seen = {"nodes": 0, "cores": 0, "moved": 0}
+    for ns in _builder_cases(uc1_node_schedules):
+        seen["nodes"] += 1
+        seen["cores"] += ns.cores
+        optimized = optimize_extensibility(ns)
+        seen["moved"] += optimized is not ns
+        for sched in (ns, optimized):
+            stripped = replace(sched, partitions=(), slices=tuple(
+                replace(sl, partition="") for sl in sched.slices))
+            expected = rebuild_partitions(stripped)
+            assert sched == expected
+            for stretch in (1, 7):
+                assert with_layouts(stripped, _layouts(sched, stretch)) == expected
+    assert seen["nodes"] >= 40 and seen["moved"] >= 20, seen
+    assert seen["cores"] > 2 * seen["nodes"], seen
 
 
 # -- verifier mutation suite ----------------------------------------------------

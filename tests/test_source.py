@@ -36,7 +36,7 @@ def test_only_units_derives_a_time_base():
 
 SOLVER_HELPERS = {"_TickStream", "_tick_windows", "_forbidden_offsets",
                   "_offset_candidates", "edf", "_jobs", "_edf_fits", "_climb",
-                  "_even_spread"}
+                  "_even_spread", "with_layouts"}
 
 
 def _source_of(path: pathlib.Path, node: ast.ImportFrom) -> pathlib.Path | None:

@@ -82,8 +82,28 @@ def test_saturated_node_rejects_security_tasks():
     )
     ns = synthesize_gcl(s)
     with pytest.raises(InfeasibleError,
-                       match="^node E1 cannot absorb its security tasks$"):
+                       match="^node E1 cannot absorb its security tasks$") as exc:
         apply_tesla(s, ns, TeslaConfig())
+    assert not exc.value.gave_up  # utilization above 1 on one core: a proof
+
+
+def test_security_tasks_first_fit_cannot_place_is_a_give_up():
+    # 0.6 + 0.37 on each core leaves 0.03 per core, so first-fit cannot
+    # place the 0.05 verify task, but 1.99 in all on 2 cores proves nothing
+    s = Scenario(
+        nodes=(FogNodeSpec("E1", cores=2),),
+        switches=(SwitchSpec("W1"),),
+        links=(LinkSpec("W1", "E1"),),
+        streams=(StreamSpec("x", "W1", "E1", 100, 1000, 1, ("W1", "E1")),),
+        applications=tuple(ApplicationSpec(a, "E1", 1, 1, 10_000, Fraction(u))
+                           for a, u in (("a", "0.6"), ("b", "0.6"),
+                                        ("c", "0.37"), ("d", "0.37"))),
+    )
+    with pytest.raises(InfeasibleError,
+                       match="^node E1 cannot absorb its security tasks$") as exc:
+        apply_tesla(s, synthesize_gcl(s), TeslaConfig())
+    assert exc.value.gave_up
+    assert exc.value.unplaced == ("sec:x:verify",)
 
 
 def test_secured_scenario_reschedules(uc1, uc1_net, overlay_and_secured):
